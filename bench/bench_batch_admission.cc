@@ -222,7 +222,7 @@ void BM_PipelineBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch.trace.size()));
 }
-BENCHMARK(BM_PipelineBatch)->Arg(0)->Arg(64)->Arg(256);
+BENCHMARK(BM_PipelineBatch)->Arg(0)->Arg(64)->Arg(256)->UseRealTime();
 
 }  // namespace
 }  // namespace ntsg

@@ -114,13 +114,13 @@ void BM_CertifierSnapshotResume(benchmark::State& state) {
 
 BENCHMARK(BM_PipelineNoPlan)
     ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PipelineEmptyPlan)
     ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PipelineChaosPlan)
     ->Args({32, 4})->Args({128, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CertifierFullReingest)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CertifierSnapshotResume)

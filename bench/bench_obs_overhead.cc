@@ -109,10 +109,10 @@ void BM_SpanTimerEnabled(benchmark::State& state) {
 
 BENCHMARK(BM_PipelineMetricsOff)
     ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PipelineMetricsOn)
     ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CertifierMetricsOff)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CertifierMetricsOn)->Arg(32)->Arg(128)->Arg(512)

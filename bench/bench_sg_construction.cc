@@ -132,7 +132,7 @@ void BM_SgBatchParallel(benchmark::State& state) {
 BENCHMARK(BM_SgBatchNaive)->Arg(0)->Arg(110)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SgBatchFast)->Arg(0)->Arg(110)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SgBatchParallel)->Arg(0)->Arg(110)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ntsg

@@ -119,10 +119,10 @@ BENCHMARK(BM_CertifierTraceOn)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PipelineTraceOff)
     ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PipelineTraceOn)
     ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NdjsonExport)->Arg(1024)->Arg(4096);
 
 }  // namespace

@@ -1,21 +1,14 @@
 #include "iso/incremental_iso.h"
 
 #include <map>
-#include <utility>
 
 #include "common/logging.h"
 
 namespace ntsg {
 
-namespace {
-/// Distinguishes scope activations from operation activations in tracker
-/// tags (operation tags are trace positions, far below 2^63).
-constexpr uint64_t kScopeTagBit = 1ull << 63;
-}  // namespace
-
 IncrementalIsoChecker::IncrementalIsoChecker(const SystemType& type,
                                              ConflictMode mode)
-    : type_(&type), mode_(mode), tracker_(type) {}
+    : type_(&type), mode_(mode), front_(type, GcOptions{}) {}
 
 ObjectConflictFrontier& IncrementalIsoChecker::Frontier(ObjectId x) {
   if (frontiers_.size() <= x) frontiers_.resize(type_->num_objects());
@@ -27,128 +20,23 @@ ObjectConflictFrontier& IncrementalIsoChecker::Frontier(ObjectId x) {
   return *frontiers_[x];
 }
 
-void IncrementalIsoChecker::ActivateOp(uint64_t pos, TxName tx,
-                                       const Value& v) {
+void IncrementalIsoChecker::OnVisibleOp(uint64_t pos, TxName tx,
+                                        const Value& v) {
   Frontier(type_->ObjectOf(tx)).AddOp(tx, v, pos, &scratch_);
   scratch_.clear();  // edges are read back from the frontiers at Verdict()
 }
 
-void IncrementalIsoChecker::EmitPrecedes(TxName parent, TxName from,
-                                         TxName to) {
-  if (from == to) return;
-  precedes_edges_.Insert(SiblingEdge{parent, from, to});
-}
-
-void IncrementalIsoChecker::ScopeEvent(TxName parent, bool is_report,
-                                       TxName child) {
-  ParentScope& scope = scopes_[parent];
-  if (!scope.registered) {
-    scope.registered = true;
-    if (tracker_.Watch(parent, kScopeTagBit | parent) ==
-        VisibilityTracker::WatchResult::kVisible) {
-      scope.visible = true;
-    }
-  }
-  if (!scope.visible) {
-    scope.buffer.emplace_back(is_report, child);
-    return;
-  }
-  if (is_report) {
-    scope.reported.push_back(child);
-  } else {
-    for (TxName earlier : scope.reported) EmitPrecedes(parent, earlier, child);
-  }
-}
-
-void IncrementalIsoChecker::ActivateScope(TxName parent) {
-  ParentScope& scope = scopes_[parent];
-  scope.visible = true;
-  std::vector<std::pair<bool, TxName>> buffer = std::move(scope.buffer);
-  scope.buffer.clear();
-  for (const auto& [is_report, child] : buffer) {
-    if (is_report) {
-      scope.reported.push_back(child);
-    } else {
-      for (TxName earlier : scope.reported) {
-        EmitPrecedes(parent, earlier, child);
-      }
-    }
-  }
-}
-
-void IncrementalIsoChecker::FireItem(const VisibilityTracker::Item& item) {
-  if ((item.tag & kScopeTagBit) != 0) {
-    ActivateScope(static_cast<TxName>(item.tag & ~kScopeTagBit));
-    return;
-  }
-  auto it = pending_ops_.find(item.tag);
-  if (it == pending_ops_.end()) return;
-  PendingOp op = it->second;
-  pending_ops_.erase(it);
-  ActivateOp(item.tag, op.tx, op.value);
-}
-
-void IncrementalIsoChecker::DropItem(const VisibilityTracker::Item& item) {
-  if ((item.tag & kScopeTagBit) == 0) pending_ops_.erase(item.tag);
-}
-
 void IncrementalIsoChecker::Ingest(const Action& a) {
-  uint64_t pos = pos_++;
-  if (a.kind == ActionKind::kInformCommit ||
-      a.kind == ActionKind::kInformAbort) {
-    return;  // Theorem 17/25 strips INFORMs; generic behaviors feed verbatim
+  // Theorem 17/25 strips INFORMs, so generic behaviors feed verbatim.
+  if (a.kind != ActionKind::kInformCommit &&
+      a.kind != ActionKind::kInformAbort) {
+    serial_.push_back(a);
   }
-  serial_.push_back(a);
-  switch (a.kind) {
-    case ActionKind::kRequestCommit:
-      if (type_->IsAccess(a.tx)) {
-        switch (tracker_.Watch(a.tx, pos)) {
-          case VisibilityTracker::WatchResult::kVisible:
-            ActivateOp(pos, a.tx, a.value);
-            break;
-          case VisibilityTracker::WatchResult::kParked:
-            pending_ops_.emplace(pos, PendingOp{a.tx, a.value});
-            break;
-          case VisibilityTracker::WatchResult::kDead:
-            break;
-        }
-      }
-      break;
-    case ActionKind::kReportCommit:
-    case ActionKind::kReportAbort:
-      ScopeEvent(type_->parent(a.tx), /*is_report=*/true, a.tx);
-      break;
-    case ActionKind::kRequestCreate:
-      ScopeEvent(type_->parent(a.tx), /*is_report=*/false, a.tx);
-      break;
-    case ActionKind::kCommit: {
-      std::vector<VisibilityTracker::Item> fired, dropped;
-      tracker_.OnCommit(a.tx, &fired, &dropped);
-      for (const auto& item : fired) FireItem(item);
-      for (const auto& item : dropped) DropItem(item);
-      break;
-    }
-    case ActionKind::kAbort: {
-      std::vector<VisibilityTracker::Item> dropped;
-      tracker_.OnAbort(a.tx, &dropped);
-      for (const auto& item : dropped) DropItem(item);
-      break;
-    }
-    default:
-      break;
-  }
+  front_.Ingest(a, *this);
 }
 
 void IncrementalIsoChecker::IngestTrace(const Trace& beta) {
   for (const Action& a : beta) Ingest(a);
-}
-
-size_t IncrementalIsoChecker::conflict_edge_count() const {
-  size_t n = 0;
-  for (const auto& f : frontiers_) {
-    if (f) n += f->edge_label_bits().size();
-  }
-  return n;  // upper bound only: distinct objects can share an edge
 }
 
 IsoVerdictVector IncrementalIsoChecker::Verdict(

@@ -2,13 +2,12 @@
 #define NTSG_ISO_INCREMENTAL_ISO_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "iso/checker.h"
 #include "sg/conflict_frontier.h"
 #include "sg/edge_set.h"
-#include "sg/incremental_certifier.h"
+#include "sg/front_end.h"
 #include "tx/trace.h"
 
 namespace ntsg {
@@ -18,12 +17,11 @@ namespace ntsg {
 /// prefix ingested so far, and answers the verdict vector for that prefix
 /// on demand.
 ///
-/// Edge discovery mirrors IncrementalCertifier (the same VisibilityTracker
-/// drives operation/scope activations; one label-enabled
-/// ObjectConflictFrontier per object discovers conflicts at global trace
-/// positions; per-parent report/request bookkeeping yields precedes edges
-/// once the parent is visible), so the edge sets at every prefix equal the
-/// batch relations of that prefix. Verdict() funnels the accumulated edges
+/// Edge discovery is IncrementalCertifier's: the checker is a sink of the
+/// same SgFrontEnd (visible operations and precedes pairs), and one
+/// label-enabled ObjectConflictFrontier per object discovers conflicts at
+/// global trace positions, so the edge sets at every prefix equal the batch
+/// relations of that prefix. Verdict() funnels the accumulated edges
 /// through the same CheckFromLabeledGraph the batch checker uses — the two
 /// modes agree on every per-level verdict by construction (the differential
 /// test re-asserts it per prefix).
@@ -42,39 +40,27 @@ class IncrementalIsoChecker {
   /// The verdict vector of the ingested prefix.
   IsoVerdictVector Verdict(const IsoCheckOptions& options = {}) const;
 
-  size_t actions_ingested() const { return static_cast<size_t>(pos_); }
-  size_t conflict_edge_count() const;
-  size_t precedes_edge_count() const { return precedes_edges_.size(); }
+  size_t actions_ingested() const {
+    return static_cast<size_t>(front_.position());
+  }
 
  private:
-  struct ParentScope {
-    bool registered = false;
-    bool visible = false;
-    std::vector<TxName> reported;
-    std::vector<std::pair<bool, TxName>> buffer;  // (is_report, child)
-  };
-  struct PendingOp {
-    TxName tx;
-    Value value;
-  };
+  friend class SgFrontEnd;  // the sink calls below
 
-  void FireItem(const VisibilityTracker::Item& item);
-  void DropItem(const VisibilityTracker::Item& item);
-  void ActivateOp(uint64_t pos, TxName tx, const Value& v);
-  void ScopeEvent(TxName parent, bool is_report, TxName child);
-  void ActivateScope(TxName parent);
-  void EmitPrecedes(TxName parent, TxName from, TxName to);
+  /// Sink: adds the operation to its object's labelled frontier.
+  void OnVisibleOp(uint64_t pos, TxName tx, const Value& v);
+  /// Sink: records the precedes edge.
+  void OnPrecedes(TxName parent, TxName from, TxName to) {
+    precedes_edges_.Insert(SiblingEdge{parent, from, to});
+  }
   ObjectConflictFrontier& Frontier(ObjectId x);
 
   const SystemType* type_;
   ConflictMode mode_;
-  VisibilityTracker tracker_;
+  SgFrontEnd front_;
   std::vector<std::unique_ptr<ObjectConflictFrontier>> frontiers_;
-  std::unordered_map<TxName, ParentScope> scopes_;
-  std::unordered_map<uint64_t, PendingOp> pending_ops_;
   SiblingEdgeSet precedes_edges_;
   Trace serial_;  // serial prefix, for the value-aware checks at Verdict()
-  uint64_t pos_ = 0;
   std::vector<SiblingEdge> scratch_;  // frontier emission sink, reused
 };
 

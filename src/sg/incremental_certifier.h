@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -14,107 +13,11 @@
 #include "sg/conflicts.h"
 #include "sg/edge_set.h"
 #include "sg/fast_graph.h"
-#include "sg/gc_watermark.h"
+#include "sg/front_end.h"
 #include "spec/serial_spec.h"
 #include "tx/trace.h"
 
 namespace ntsg {
-
-/// Activates items when their subject transaction becomes visible to T0 —
-/// i.e. when every ancestor strictly below T0 (the subject included) has
-/// committed. Visibility is monotone over trace prefixes: once a subject is
-/// visible it stays visible, so each watched item fires at most once.
-///
-/// A watched subject waits on its *lowest uncommitted ancestor*; each COMMIT
-/// re-resolves exactly the items parked on the committing name, so the
-/// amortized cost per item is O(depth) pointer walks per ancestor commit.
-///
-/// Watched items are plain data (subject + caller tag), not callbacks, so
-/// the tracker has value semantics: copying it is the snapshot of the
-/// certifier's visibility frontier that crash recovery restores.
-class VisibilityTracker {
- public:
-  explicit VisibilityTracker(const SystemType& type) : type_(&type) {}
-
-  /// A parked activation: `tag` is caller-defined payload routing (e.g. the
-  /// trace position of a pending operation).
-  struct Item {
-    TxName subject;
-    uint64_t tag;
-  };
-
-  enum class WatchResult : uint8_t {
-    kVisible,  // already visible; the caller activates now
-    kParked,   // parked on the lowest uncommitted ancestor
-    kDead,     // an ancestor aborted; the subject can never become visible
-  };
-
-  /// Registers (subject, tag) to fire when `subject` is visible to T0.
-  WatchResult Watch(TxName subject, uint64_t tag);
-
-  /// Records COMMIT(t); appends newly visible items to `fired` (in parked
-  /// order) and items whose subject turned out dead to `dropped` (if
-  /// non-null).
-  void OnCommit(TxName t, std::vector<Item>* fired,
-                std::vector<Item>* dropped = nullptr);
-
-  /// Records ABORT(t); appends items parked directly on t to `dropped` (if
-  /// non-null) — COMMIT(t) can no longer happen.
-  void OnAbort(TxName t, std::vector<Item>* dropped = nullptr);
-
-  bool IsCommitted(TxName t) const { return (Flags(t) & kCommittedBit) != 0; }
-  bool IsAborted(TxName t) const { return (Flags(t) & kAbortedBit) != 0; }
-
-  /// True iff `t` can never become visible: some ancestor strictly below T0
-  /// (t included) has aborted. Items watching such a subject will never
-  /// fire, so the GC neither waits for them nor counts their positions.
-  bool NeverVisible(TxName t) const;
-
-  /// Releases all state for `t`: its commit/abort flags and any items
-  /// parked on it (the GC calls this per retired name after proving no
-  /// parked item under the family can ever fire). Frees a flag page once
-  /// its last live name retires, which is what keeps tracker memory
-  /// proportional to live names on an unbounded stream.
-  void Retire(TxName t);
-
-  /// Visits every parked item (blocker order unspecified, parked order
-  /// within one blocker). The GC's watermark computation input.
-  template <typename Fn>
-  void ForEachParked(Fn&& fn) const {
-    for (const auto& [blocker, items] : waiters_) {
-      for (const Item& item : items) fn(item);
-    }
-  }
-
- private:
-  /// Commit/abort flags live in fixed-size pages indexed by name so state
-  /// can be released page-wise: a dense vector over names would grow with
-  /// every name ever interned, which is exactly what the GC exists to avoid.
-  static constexpr uint8_t kCommittedBit = 1;
-  static constexpr uint8_t kAbortedBit = 2;
-  static constexpr size_t kPageBits = 12;
-  static constexpr size_t kPageSize = size_t{1} << kPageBits;
-
-  struct Page {
-    std::vector<uint8_t> flags;  // empty (freed) or kPageSize bytes
-    uint32_t live = 0;           // names on this page with nonzero flags
-  };
-
-  /// Lowest uncommitted ancestor of `subject` below T0 (kInvalidTx when
-  /// visible now). Sets `*dead` when an ancestor has aborted.
-  TxName BlockerOf(TxName subject, bool* dead) const;
-
-  uint8_t Flags(TxName t) const {
-    size_t p = t >> kPageBits;
-    if (p >= pages_.size() || pages_[p].flags.empty()) return 0;
-    return pages_[p].flags[t & (kPageSize - 1)];
-  }
-  void SetBit(TxName t, uint8_t bit);
-
-  const SystemType* type_;
-  std::vector<Page> pages_;
-  std::unordered_map<TxName, std::vector<Item>> waiters_;
-};
 
 /// Per-object slice of the online certifier: the visible operation sequence
 /// ordered by trace position, its legality under the object's serial
@@ -206,10 +109,10 @@ struct IncrementalVerdict {
 /// prefix-consistent with CertifySeriallyCorrect by construction (and
 /// property-tested in tests/incremental_certifier_test.cc):
 ///
+///   * the SgFrontEnd decides visibility to T0 and the precedes(β) pairs;
+///     the certifier is its sink;
 ///   * conflict(β) edges appear when both endpoints' operations are visible
-///     to T0; visibility activations are driven by the VisibilityTracker;
-///   * precedes(β) edges appear from per-parent report/request bookkeeping
-///     once the parent is visible;
+///     to T0, discovered per object;
 ///   * acyclicity of the union is maintained by Pearce–Kelly insertion
 ///     (IncrementalTopoGraph) with early cycle rejection — edges are
 ///     monotone over prefixes, so a cyclic verdict is final;
@@ -271,7 +174,7 @@ class IncrementalCertifier {
 
   size_t conflict_edge_count() const { return conflict_edges_.size(); }
   size_t precedes_edge_count() const { return precedes_edges_.size(); }
-  size_t actions_ingested() const { return pos_; }
+  size_t actions_ingested() const { return front_.position(); }
 
   /// Canonical fingerprint of the current conflict ∪ precedes edge sets
   /// (see sg/fingerprint.h). Certifiers that agree on the edge sets agree
@@ -289,13 +192,13 @@ class IncrementalCertifier {
 
   /// Families retired so far (children of T0); empty when GC is off.
   const std::unordered_set<TxName>& retired_roots() const {
-    return book_.retired_roots();
+    return front_.book().retired_roots();
   }
   /// Deterministic (sorted) retired roots, for reports and tests.
   std::vector<TxName> SortedRetiredRoots() const {
-    return book_.SortedRetiredRoots();
+    return front_.book().SortedRetiredRoots();
   }
-  const GcStats& gc_stats() const { return gc_stats_; }
+  const GcStats& gc_stats() const { return front_.gc_stats(); }
   /// Live serialization-graph nodes — the soak test's bounded-memory probe.
   size_t live_node_count() const { return graph_.node_count(); }
 
@@ -314,23 +217,7 @@ class IncrementalCertifier {
   const std::vector<TxName>& cycle_witness() const { return cycle_witness_; }
 
  private:
-  /// Per-parent precedes bookkeeping. Until the parent is visible, report /
-  /// request-create events are buffered in order; afterwards reports
-  /// accumulate and every request-create emits edges from all earlier
-  /// reported siblings.
-  struct ParentScope {
-    bool registered = false;
-    bool visible = false;
-    std::vector<TxName> reported;
-    std::vector<std::pair<bool, TxName>> buffer;  // (is_report, child)
-  };
-
-  /// A REQUEST_COMMIT awaiting visibility, keyed by trace position (= the
-  /// tracker tag for operations).
-  struct PendingOp {
-    TxName tx;
-    Value value;
-  };
+  friend class SgFrontEnd;  // the sink calls below
 
   /// One deferred graph insertion: the edge plus the position of the action
   /// whose processing produced it, so a rejected batch can map the first
@@ -343,20 +230,16 @@ class IncrementalCertifier {
     uint64_t action_pos;
   };
 
-  void FireItem(const VisibilityTracker::Item& item);
-  void DropItem(const VisibilityTracker::Item& item);
-  void ActivateOp(uint64_t pos, TxName tx, const Value& v);
-  void ScopeEvent(TxName parent, bool is_report, TxName child);
-  void ActivateScope(TxName parent);
-  void EmitPrecedes(TxName parent, TxName from, TxName to);
+  /// Sink: inserts the visible operation into its object and adds the
+  /// conflict edges it induces.
+  void OnVisibleOp(uint64_t pos, TxName tx, const Value& v);
+  /// Sink: adds a precedes edge.
+  void OnPrecedes(TxName parent, TxName from, TxName to);
   void AddGraphEdge(TxName parent, TxName from, TxName to, bool is_conflict);
   void NoteVerdict();
   /// Ingest minus the per-action verdict/GC tail — the shared body of the
-  /// per-event and batched paths. Returns false when the action named a
-  /// retired family and was dropped: the position is consumed, but the
-  /// verdict/GC tail must NOT run for it (a dropped event is invisible, so
-  /// it cannot trigger a collection pass — the retirement schedule would
-  /// otherwise drift from a run that never saw the late event).
+  /// per-event and batched paths. False = the front end dropped the action
+  /// as a late event and the tail must not run (SgFrontEnd::Ingest).
   bool IngestAction(const Action& a);
   /// Commits (or replays) the staged edges and reconciles the deferred
   /// verdict: first_rejection_pos becomes the minimum of the first staged
@@ -365,27 +248,21 @@ class IncrementalCertifier {
   void FlushBatch();
   ObjectIngestState& ObjectState(ObjectId x);
   /// Executes the retirement of `roots` (already sealed and
-  /// predecessor-closed): graph nodes, frontier summaries, tracker state,
-  /// scopes, pending ops, and memoized edges.
+  /// predecessor-closed): the front end's state, graph nodes, memoized
+  /// edges, and frontier summaries.
   void RetireFamilies(const std::vector<TxName>& roots);
 
   const SystemType* type_;
   ConflictMode mode_;
-  VisibilityTracker tracker_;
+  SgFrontEnd front_;
   std::vector<std::unique_ptr<ObjectIngestState>> objects_;
   size_t illegal_objects_ = 0;
-  std::unordered_map<TxName, ParentScope> scopes_;
-  std::unordered_map<uint64_t, PendingOp> pending_ops_;
   SiblingEdgeSet conflict_edges_;
   SiblingEdgeSet precedes_edges_;
   IncrementalTopoGraph graph_;
   bool acyclic_ = true;
-  uint64_t pos_ = 0;
   std::optional<uint64_t> first_rejection_pos_;
   std::vector<TxName> cycle_witness_;
-  GcOptions gc_;
-  GcFamilyBook book_;
-  GcStats gc_stats_;
   /// Batched-admission state. Empty/false at every public-call boundary
   /// except inside IngestBatch (FlushBatch always runs before it returns),
   /// so copies taken between calls need not carry it.
@@ -393,11 +270,9 @@ class IncrementalCertifier {
   std::vector<StagedEdge> staged_edges_;
   std::optional<uint64_t> staged_illegal_pos_;
   uint64_t batch_actions_ = 0;
-  /// Per-call scratch (cleared before each use) so the park/fire hot path
+  /// Per-call scratch (cleared before each use) so the activation hot path
   /// does zero heap allocation at steady state; never holds state across
   /// calls and is deliberately not copied.
-  std::vector<VisibilityTracker::Item> fired_scratch_;
-  std::vector<VisibilityTracker::Item> dropped_scratch_;
   std::vector<SiblingEdge> edge_scratch_;
 };
 

@@ -16,7 +16,7 @@
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "obs/metrics.h"
-#include "sg/gc_watermark.h"
+#include "sg/front_end.h"
 #include "sg/incremental_certifier.h"
 #include "tx/segment/trace_store.h"
 #include "tx/trace.h"
@@ -125,11 +125,12 @@ struct ConcurrentIngestReport {
   bool ok() const { return appropriate && acyclic; }
 };
 
-/// Concurrent front end for the online certifier: a sequential router
-/// (the Ingest caller) performs the inherently ordered work — commit/abort
-/// bookkeeping, visibility activation, precedes scoping — and fans the
-/// expensive per-object work (conflict discovery, serial-spec replay) out to
-/// sharded worker threads over bounded queues. Discovered sibling edges are
+/// Sharded form of the online certifier: a sequential router (the Ingest
+/// caller) runs the inherently ordered work through the same SgFrontEnd as
+/// the solo certifier — commit/abort bookkeeping, visibility activation,
+/// precedes scoping — and fans the expensive per-object work (conflict
+/// discovery, serial-spec replay) out to sharded worker threads over
+/// bounded queues. Discovered sibling edges are
 /// inserted into per-stripe Pearce–Kelly graphs under a striped mutex
 /// scheme.
 ///
@@ -170,7 +171,7 @@ class ConcurrentIngestPipeline {
   /// Watermark-GC progress so far. Router-owned counters: read between
   /// Ingest calls on the ingesting thread (the load harness's per-epoch
   /// timeline), not concurrently with one.
-  const GcStats& gc_stats() const { return gc_stats_; }
+  const GcStats& gc_stats() const { return front_.gc_stats(); }
 
   /// Work items currently queued across all shards, sampled under each
   /// queue's mutex in turn (a momentary reading, not a consistent cut).
@@ -178,6 +179,8 @@ class ConcurrentIngestPipeline {
   size_t TotalQueueDepth();
 
  private:
+  friend class SgFrontEnd;  // the sink calls below
+
   struct WorkItem {
     enum class Kind : uint8_t {
       kOp,        // a visible operation to insert
@@ -302,13 +305,15 @@ class ConcurrentIngestPipeline {
   void PollFaults(uint64_t tick);
   /// Inserts a sibling edge into its stripe; kind selects the dedup set.
   void InsertEdge(const SiblingEdge& e, bool is_conflict);
-  void ActivateOp(uint64_t pos, TxName tx, const Value& v);
-  void ScopeEvent(TxName parent, bool is_report, TxName child);
-  void ActivateScope(TxName parent);
-  /// One watermark-GC pass (mirrors IncrementalCertifier::RunGc): compute
-  /// the watermark and blocked set from router state plus fault holdbacks,
-  /// quiesce the shards, close the sealed candidates under graph
-  /// predecessors, and retire.
+  /// Sink: routes the visible operation to its object's shard.
+  void OnVisibleOp(uint64_t pos, TxName tx, const Value& v);
+  /// Sink: inserts the precedes edge into its parent's stripe.
+  void OnPrecedes(TxName parent, TxName from, TxName to) {
+    InsertEdge(SiblingEdge{parent, from, to}, /*is_conflict=*/false);
+  }
+  /// One watermark-GC pass, the solo certifier's plus two pipeline steps:
+  /// fault-held deliveries block like parked work, and the shards are
+  /// quiesced before the graph is read.
   void RunGc();
   /// Pushes a kGcSync epoch to every shard and waits for all acks,
   /// restarting any shard that crashes mid-barrier. On return every
@@ -318,44 +323,24 @@ class ConcurrentIngestPipeline {
   /// Installs the retired set on the shard and prunes its object states.
   /// Runs on the worker thread (delivery order) and during log replay.
   void ApplyGcPrune(Shard& shard, const WorkItem& item, bool record_log);
-  /// True iff the edge lies in the retired scope of `retired` (T0-level
-  /// edges: an endpoint is a retired root; deeper edges: the parent's
-  /// family is retired) — the same projection FingerprintLiveScope uses.
-  bool RetiredScopeEdge(const std::unordered_set<TxName>& retired,
-                        const SiblingEdge& e) const;
 
   const SystemType& type_;
   const ConflictMode mode_;
   const ConcurrentIngestConfig config_;
 
-  // Router state (touched only by the Ingest caller).
-  VisibilityTracker tracker_;
-  struct ParentScope {
-    bool registered = false;
-    bool visible = false;
-    std::vector<TxName> reported;
-    std::vector<std::pair<bool, TxName>> buffer;
-  };
-  struct PendingOp {
-    TxName tx;
-    Value value;
-  };
-  std::unordered_map<TxName, ParentScope> scopes_;
-  std::unordered_map<uint64_t, PendingOp> pending_ops_;
-  uint64_t pos_ = 0;
+  // Router state (touched only by the Ingest caller). The front end also
+  // holds the watermark-GC book; workers only see kGcPrune payloads.
+  SgFrontEnd front_;
   size_t ops_routed_ = 0;
   bool finished_ = false;
   /// Chaos state: null when config_.fault_plan is null — every hook is a
   /// single branch in that case.
   std::unique_ptr<FaultInjector> faults_;
   std::vector<FaultEvent> fired_scratch_;
-  /// Watermark-GC state (router-owned; workers only see kGcPrune payloads).
-  GcFamilyBook book_;
-  GcStats gc_stats_;
   uint64_t gc_epoch_ = 0;
-  /// Latched once a rejection (cycle or illegal object) is observed at a GC
-  /// barrier; the collector stands down for good, mirroring the solo
-  /// certifier's first-rejection rule.
+  /// Latched once a cycle is observed at a GC barrier; the collector stands
+  /// down for good, mirroring the solo certifier's rule (illegal objects do
+  /// not stop collection, DESIGN.md §10).
   bool gc_rejected_ = false;
   /// Ops folded into replay checkpoints, summed across worker threads.
   std::atomic<uint64_t> gc_pruned_ops_{0};

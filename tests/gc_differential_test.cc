@@ -14,7 +14,10 @@
 //     with the plain batch build on the full behavior;
 //   * the sharded pipeline with gc_interval retires the same families as a
 //     solo certifier at the same interval (the fault-free schedules are
-//     identical by construction) and lands on the same live fingerprint.
+//     identical by construction) and lands on the same live fingerprint;
+//   * a GC'd certifier copied mid-stream (parked operations, buffered
+//     scopes and all) and fed the suffix ends exactly where the
+//     uninterrupted run does, GC statistics included.
 //
 // Coverage comes from two directions: the golden corpus (both conflict
 // modes, accepting and rejecting traces, including deliberately broken
@@ -29,6 +32,7 @@
 #include <sstream>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sg/certifier.h"
@@ -291,6 +295,122 @@ TEST(GcDifferentialTest, ComboBudgetIsAdvertised) {
   // combos in FuzzedWorkloadsAcrossLayers — the EXPECT_GE(150) floors in
   // each sum past 300 checked workload x mode x layer combinations.
   SUCCEED();
+}
+
+/// True iff, after the first `n` actions of `beta`, some access has issued
+/// its REQUEST_COMMIT but is neither visible to T0 nor dead — i.e. the
+/// certifier holds it parked. Computed from the trace alone.
+bool HasParkedOp(const SystemType& type, const Trace& beta, size_t n) {
+  std::unordered_set<TxName> committed, aborted;
+  std::vector<TxName> requested;
+  for (size_t i = 0; i < n; ++i) {
+    const Action& a = beta[i];
+    if (a.kind == ActionKind::kCommit) committed.insert(a.tx);
+    if (a.kind == ActionKind::kAbort) aborted.insert(a.tx);
+    if (a.kind == ActionKind::kRequestCommit && type.IsAccess(a.tx)) {
+      requested.push_back(a.tx);
+    }
+  }
+  for (TxName t : requested) {
+    bool visible = true, dead = false;
+    for (TxName u = t; u != kT0; u = type.parent(u)) {
+      if (aborted.count(u) != 0) dead = true;
+      if (committed.count(u) == 0) visible = false;
+    }
+    if (!visible && !dead) return true;
+  }
+  return false;
+}
+
+/// Snapshot/restore with GC on: copies a collecting certifier every 97th
+/// action (alternating the copy constructor and copy assignment), keeps
+/// ingesting the original, then re-feeds each copy the suffix. Every
+/// restored run must end exactly where the uninterrupted one does — verdict,
+/// first rejection, witness, live fingerprint, retired families, and every
+/// GcStats field — so the copy carries the whole front end (parked ops,
+/// buffered scopes, family book) and the collector's schedule. Adds the
+/// number of copies taken with a parked operation to *parked_out.
+void GcSnapshotRestore(const SystemType& type, const Trace& beta,
+                       ConflictMode mode, const std::string& label,
+                       size_t* parked_out) {
+  const GcOptions gc{64};
+  IncrementalCertifier full(type, mode, gc);
+  full.IngestTrace(beta);
+
+  IncrementalCertifier cert(type, mode, gc);
+  std::vector<std::pair<size_t, IncrementalCertifier>> snapshots;
+  for (size_t i = 0; i < beta.size(); ++i) {
+    if (i % 97 == 0) {
+      if (snapshots.size() % 2 == 0) {
+        snapshots.emplace_back(i, cert);
+      } else {
+        IncrementalCertifier assigned(type, mode, gc);
+        assigned = cert;
+        snapshots.emplace_back(i, assigned);
+      }
+      if (HasParkedOp(type, beta, i)) ++*parked_out;
+    }
+    cert.Ingest(beta[i]);
+  }
+
+  for (auto& [at, restored] : snapshots) {
+    for (size_t i = at; i < beta.size(); ++i) restored.Ingest(beta[i]);
+    const std::string where = label + " restored at " + std::to_string(at);
+    EXPECT_EQ(restored.verdict().appropriate, full.verdict().appropriate)
+        << where;
+    EXPECT_EQ(restored.verdict().acyclic, full.verdict().acyclic) << where;
+    EXPECT_EQ(restored.first_rejection_pos(), full.first_rejection_pos())
+        << where;
+    EXPECT_EQ(restored.cycle_witness(), full.cycle_witness()) << where;
+    EXPECT_EQ(restored.graph_fingerprint(), full.graph_fingerprint()) << where;
+    EXPECT_EQ(restored.SortedRetiredRoots(), full.SortedRetiredRoots())
+        << where;
+    const GcStats& r = restored.gc_stats();
+    const GcStats& f = full.gc_stats();
+    EXPECT_EQ(r.runs, f.runs) << where;
+    EXPECT_EQ(r.retired_families, f.retired_families) << where;
+    EXPECT_EQ(r.retired_nodes, f.retired_nodes) << where;
+    EXPECT_EQ(r.pruned_ops, f.pruned_ops) << where;
+    EXPECT_EQ(r.late_events, f.late_events) << where;
+    EXPECT_EQ(r.last_watermark, f.last_watermark) << where;
+  }
+  // The original, copied from along the way, is undisturbed too.
+  EXPECT_EQ(cert.graph_fingerprint(), full.graph_fingerprint()) << label;
+  EXPECT_EQ(cert.gc_stats().retired_families, full.gc_stats().retired_families)
+      << label;
+}
+
+TEST(GcDifferentialTest, SnapshotRestoreWithGc) {
+  size_t parked = 0;
+  size_t retired = 0;
+  for (const CorpusEntry& e : LoadManifest()) {
+    SystemType type;
+    Trace beta;
+    Status st = ReadTraceFile(std::string(NTSG_CORPUS_DIR) + "/" + e.file,
+                              &type, &beta);
+    ASSERT_TRUE(st.ok()) << e.file << ": " << st.ToString();
+    GcSnapshotRestore(type, beta, e.mode, e.file, &parked);
+    IncrementalCertifier probe(type, e.mode, GcOptions{64});
+    probe.IngestTrace(beta);
+    retired += probe.gc_stats().retired_families;
+  }
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    for (Backend backend : {Backend::kMoss, Backend::kDirtyReadMoss}) {
+      ScriptedRun run = RunScripted(seed, backend, ObjectType::kReadWrite);
+      if (!run.sim.stats.completed) continue;
+      GcSnapshotRestore(*run.type, run.sim.trace, ConflictMode::kReadWrite,
+                        std::string(BackendName(backend)) + " seed " +
+                            std::to_string(seed),
+                        &parked);
+    }
+    ScriptedRun run = RunScripted(seed, Backend::kUndo, ObjectType::kCounter);
+    if (!run.sim.stats.completed) continue;
+    GcSnapshotRestore(*run.type, run.sim.trace, ConflictMode::kCommutativity,
+                      "undo counter seed " + std::to_string(seed), &parked);
+  }
+  // Vacuous unless copies were taken mid-flight and the collector ran.
+  EXPECT_GT(parked, 0u);
+  EXPECT_GT(retired, 0u);
 }
 
 }  // namespace
