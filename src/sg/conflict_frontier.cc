@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "sg/gc_watermark.h"
 
 namespace ntsg {
 
@@ -186,10 +187,6 @@ void ObjectConflictFrontier::AddOp(TxName access, const Value& v, uint64_t pos,
 void ObjectConflictFrontier::Retire(
     const std::unordered_set<TxName>& retired_roots) {
   const SystemType& type = *type_;
-  auto family_retired = [&](TxName t) {
-    if (t == kT0) return false;
-    return retired_roots.count(type.AncestorAtDepth(t, 1)) != 0;
-  };
 
   // Pass 1 over the key table: collect the lists to drop or filter (the
   // table cannot be mutated mid-walk). Interior nodes of a retired family
@@ -200,7 +197,7 @@ void ObjectConflictFrontier::Retire(
     TxName node = static_cast<TxName>(key >> 32);
     if (node == kT0) {
       filter.emplace_back(key, idx);
-    } else if (family_retired(node)) {
+    } else if (retired_roots.count(GcFamilyBook::RootOf(type, node)) != 0) {
       drop.emplace_back(key, idx);
     }
   });
@@ -267,11 +264,7 @@ void ObjectConflictFrontier::Retire(
   // arena entries forever; the closure invariant means an edge touches a
   // retired family iff its T0-projected endpoint does.
   auto retired_edge = [&](const SiblingEdge& e) {
-    if (e.parent == kT0) {
-      return retired_roots.count(e.from) != 0 ||
-             retired_roots.count(e.to) != 0;
-    }
-    return family_retired(e.parent);
+    return RetiredScopeEdge(type, retired_roots, e);
   };
   dedup_.EraseIf(retired_edge);
   for (auto it = label_bits_.begin(); it != label_bits_.end();) {

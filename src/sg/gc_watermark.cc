@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "sg/fast_graph.h"
 
 namespace ntsg {
 
@@ -32,6 +33,43 @@ std::vector<TxName> GcFamilyBook::SortedRetiredRoots() const {
   std::vector<TxName> out(retired_.begin(), retired_.end());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<TxName> PredecessorClosure(const IncrementalTopoGraph& graph,
+                                       const std::vector<TxName>& sealed) {
+  // Greatest fixpoint, so the result does not depend on removal order.
+  std::unordered_set<TxName> cand(sealed.begin(), sealed.end());
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (auto it = cand.begin(); it != cand.end();) {
+      bool keep = true;
+      for (TxName p : graph.InNeighbors(*it)) {
+        if (cand.count(p) == 0) {
+          keep = false;
+          break;
+        }
+      }
+      if (keep) {
+        ++it;
+      } else {
+        it = cand.erase(it);
+        changed = true;
+      }
+    }
+  }
+  std::vector<TxName> roots(cand.begin(), cand.end());
+  std::sort(roots.begin(), roots.end());
+  return roots;
+}
+
+bool RetiredScopeEdge(const SystemType& type,
+                      const std::unordered_set<TxName>& retired,
+                      const SiblingEdge& e) {
+  if (e.parent == kT0) {
+    return retired.count(e.from) != 0 || retired.count(e.to) != 0;
+  }
+  return retired.count(GcFamilyBook::RootOf(type, e.parent)) != 0;
 }
 
 }  // namespace ntsg

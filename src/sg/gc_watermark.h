@@ -7,9 +7,12 @@
 #include <unordered_set>
 #include <vector>
 
+#include "sg/conflicts.h"
 #include "tx/system_type.h"
 
 namespace ntsg {
+
+class IncrementalTopoGraph;
 
 /// Tuning for the commit-watermark garbage collector (see DESIGN.md §10).
 /// A retirement pass runs every `interval` ingested actions; 0 disables GC
@@ -46,9 +49,8 @@ struct GcStats {
 ///       position watermark W (the lowest position a not-yet-delivered
 ///       action could still carry) — so no future out-of-order reveal can
 ///       emit a conflict edge into it.
-/// Candidates still need the caller's predecessor-closure check against the
-/// live graph before they may actually retire; that part lives with the
-/// graph owner, not here.
+/// Candidates still need the predecessor-closure check against the live
+/// graph (PredecessorClosure below) before they may actually retire.
 class GcFamilyBook {
  public:
   /// Depth-1 ancestor of `t` — the family root — or kT0 when t is T0 itself
@@ -124,6 +126,23 @@ class GcFamilyBook {
   std::unordered_set<TxName> retired_;
   std::unordered_set<TxName> retired_aborted_;
 };
+
+/// Shrinks `sealed` to its largest subset closed under in-neighbors in
+/// `graph` (the T0 component), sorted. Without this, an existing
+/// live→sealed edge plus a future (suppressed) sealed→live edge could hide a
+/// cycle from the pruned certifier. With it, no live→retired edge ever
+/// exists, which is also what keeps FindPath witnesses identical (DESIGN.md
+/// §10).
+std::vector<TxName> PredecessorClosure(const IncrementalTopoGraph& graph,
+                                       const std::vector<TxName>& sealed);
+
+/// True iff sibling edge `e` lies in the retired scope of `retired` (roots
+/// of retired families): a T0-level edge with a retired endpoint, or a
+/// deeper edge inside a retired family. Sibling edges never cross a parent
+/// boundary, so this T0 projection is exact.
+bool RetiredScopeEdge(const SystemType& type,
+                      const std::unordered_set<TxName>& retired,
+                      const SiblingEdge& e);
 
 }  // namespace ntsg
 

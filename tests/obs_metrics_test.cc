@@ -484,16 +484,24 @@ TEST(ObsMetricsTest, PipelineCountersMatchReport) {
   uint64_t actions0 = m.actions_ingested->value();
   uint64_t routed0 = m.ops_routed->value();
   uint64_t processed0 = m.ops_processed->value();
+  const obs::CertifierMetrics& cert = obs::GetCertifierMetrics();
+  uint64_t activated0 = cert.ops_activated->value();
+  uint64_t parked0 = cert.ops_parked->value();
 
   ConcurrentIngestConfig config;
   config.num_shards = 2;
   ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
       *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
 
+  EXPECT_GT(report.ops_routed, 0u);
   EXPECT_EQ(m.actions_ingested->value() - actions0, report.actions_ingested);
   EXPECT_EQ(m.ops_routed->value() - routed0, report.ops_routed);
   // Every routed op is eventually processed by a worker (no faults here).
   EXPECT_EQ(m.ops_processed->value() - processed0, report.ops_routed);
+  // The router runs an SgFrontEnd just as the certifier does, but
+  // ntsg_certifier_* counts IncrementalCertifier runs only.
+  EXPECT_EQ(cert.ops_activated->value(), activated0);
+  EXPECT_EQ(cert.ops_parked->value(), parked0);
 }
 
 }  // namespace

@@ -38,7 +38,13 @@ def load_doc(path):
 
 
 def load_medians(doc):
-    """Returns {benchmark name -> median real_time in ns} for one document."""
+    """Returns {benchmark name -> median real_time in ns} for one document.
+
+    Google Benchmark appends "/real_time" to the name of a row registered
+    with UseRealTime(). The gate compares real_time either way, so the
+    suffix is dropped: a snapshot taken before a row switched to
+    UseRealTime() still matches the row's new name.
+    """
     medians = {}
     for rows in doc.get("benches", {}).values():
         for row in rows:
@@ -47,6 +53,8 @@ def load_medians(doc):
             name = row["name"]
             if name.endswith("_median"):
                 name = name[: -len("_median")]
+            if name.endswith("/real_time"):
+                name = name[: -len("/real_time")]
             medians[name] = row["real_time"] * _UNIT_NS[row["time_unit"]]
     return medians
 
