@@ -1,82 +1,17 @@
-// Experiment T7: the price of the fault-injection subsystem. Three claims
-// to quantify:
-//
-//   * Disabled hooks are (near-)free — a pipeline run with no FaultPlan
-//     wired in must stay within ~2% of pre-fault throughput (the hooks
-//     reduce to a single null check per routed event);
-//   * An *armed but empty* plan costs only a cursor probe per tick;
-//   * Crash recovery via snapshot + log replay is proportional to the
-//     suffix since the last snapshot, not to the whole behavior — compare
-//     BM_CertifierSnapshotResume against BM_CertifierFullReingest as the
-//     snapshot point moves.
-//
-// Chaos-mode runs (crashes, delays, duplicates) are included for scale, not
-// as an overhead claim: they deliberately do extra work.
+// Experiment T7: the price of certifier crash recovery. A crashed online
+// certifier restores its last snapshot (a copy — the certifier has value
+// semantics) and replays only the suffix since it, so recovery cost is
+// proportional to that suffix, not to the whole behavior — compare
+// BM_CertifierSnapshotResume against BM_CertifierFullReingest as the
+// snapshot point moves. This is the recovery `ntsg chaos` exercises.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "fault/fault_plan.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 
 namespace ntsg {
 namespace {
-
-// Baseline: fault hooks present in the build but no plan installed. This is
-// the configuration every non-chaos caller runs, so it is the number the
-// <2% disabled-overhead budget is measured against.
-void BM_PipelineNoPlan(benchmark::State& state) {
-  const QuickRunResult& run =
-      bench::CachedRun(static_cast<size_t>(state.range(0)), Backend::kMoss);
-  ConcurrentIngestConfig config;
-  config.num_shards = static_cast<size_t>(state.range(1));
-  for (auto _ : state) {
-    ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
-        *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
-    benchmark::DoNotOptimize(report);
-  }
-  state.counters["events"] = static_cast<double>(run.sim.trace.size());
-}
-
-// An injector is armed but its schedule is empty: per-tick cost is one
-// exhausted-cursor probe in Poll.
-void BM_PipelineEmptyPlan(benchmark::State& state) {
-  const QuickRunResult& run =
-      bench::CachedRun(static_cast<size_t>(state.range(0)), Backend::kMoss);
-  FaultPlan empty;
-  ConcurrentIngestConfig config;
-  config.num_shards = static_cast<size_t>(state.range(1));
-  config.fault_plan = &empty;
-  for (auto _ : state) {
-    ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
-        *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
-    benchmark::DoNotOptimize(report);
-  }
-  state.counters["events"] = static_cast<double>(run.sim.trace.size());
-}
-
-// Full chaos: crashes with restart/backoff, delivery delay/reorder/dup, and
-// snapshots, all live. Not an overhead claim — a scale reference.
-void BM_PipelineChaosPlan(benchmark::State& state) {
-  const QuickRunResult& run =
-      bench::CachedRun(static_cast<size_t>(state.range(0)), Backend::kMoss);
-  ConcurrentIngestConfig config;
-  config.num_shards = static_cast<size_t>(state.range(1));
-  FaultPlanParams params;
-  FaultPlan plan = FaultPlan::Generate(/*seed=*/7, run.sim.trace.size(),
-                                       config.num_shards, params);
-  config.fault_plan = &plan;
-  size_t faults = 0;
-  for (auto _ : state) {
-    ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
-        *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
-    benchmark::DoNotOptimize(report);
-    faults = report.faults.total_injected();
-  }
-  state.counters["events"] = static_cast<double>(run.sim.trace.size());
-  state.counters["faults"] = static_cast<double>(faults);
-}
 
 // Recovery the slow way: rebuild certifier state by re-ingesting the whole
 // behavior from scratch.
@@ -112,15 +47,6 @@ void BM_CertifierSnapshotResume(benchmark::State& state) {
   state.counters["replayed"] = static_cast<double>(beta.size() - cut);
 }
 
-BENCHMARK(BM_PipelineNoPlan)
-    ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PipelineEmptyPlan)
-    ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PipelineChaosPlan)
-    ->Args({32, 4})->Args({128, 4})
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CertifierFullReingest)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CertifierSnapshotResume)

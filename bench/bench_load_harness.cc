@@ -58,17 +58,15 @@ LoadOptions UnpacedOptions(CertMode mode) {
   opt.rate = 100'000;
   opt.epochs = 4;
   opt.mode = mode;
-  opt.shards = 4;
   opt.pace = false;  // pure service time: no arrival sleeps in the timing
-  // Epoch-batched admission in the incremental and sharded sinks (T15) —
-  // the deployment shape the harness models; verdicts are batching-
-  // independent, so the latency rows stay comparable to per-event ones.
+  // Epoch-batched admission in the incremental sink (T15) — the deployment
+  // shape the harness models; verdicts are batching-independent, so the
+  // latency rows stay comparable to per-event ones.
   opt.batch = 256;
   return opt;
 }
 
-/// state.range(0) selects the certifier mode: 0 batch, 1 incremental,
-/// 2 sharded.
+/// state.range(0) selects the certifier mode: 0 batch, 1 incremental.
 void LoadRun(benchmark::State& state, Workload w) {
   const WorkloadInstance& wl = CachedWorkload(w);
   LoadOptions opt = UnpacedOptions(static_cast<CertMode>(state.range(0)));
@@ -160,15 +158,14 @@ void TimelineRun(benchmark::State& state, bool timeline) {
 void BM_LoadTimelineOn(benchmark::State& state) { TimelineRun(state, true); }
 void BM_LoadTimelineOff(benchmark::State& state) { TimelineRun(state, false); }
 
-// Arg 2 runs the sharded pipeline's worker threads and the saturation
-// sweep sleeps to pace arrivals: time these rows by the wall clock, not by
-// the main thread's CPU.
+// The saturation sweep sleeps to pace arrivals: time these rows by the wall
+// clock, not by the main thread's CPU.
 BENCHMARK(BM_LoadBank)
-    ->Arg(0)->Arg(1)->Arg(2)->UseRealTime()->Unit(benchmark::kMillisecond);
+    ->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LoadTpcc)
-    ->Arg(0)->Arg(1)->Arg(2)->UseRealTime()->Unit(benchmark::kMillisecond);
+    ->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LoadCommute)
-    ->Arg(0)->Arg(1)->Arg(2)->UseRealTime()->Unit(benchmark::kMillisecond);
+    ->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SaturationBank)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SaturationTpcc)->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SaturationCommute)->UseRealTime()->Unit(benchmark::kMillisecond);

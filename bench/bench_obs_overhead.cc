@@ -1,14 +1,13 @@
-// Experiment T8: the price of the observability layer. The contract mirrors
-// the fault hooks' (bench_fault_overhead): with metrics disabled every
-// instrument is one relaxed load and a branch, and end-to-end pipeline and
-// certifier runs must stay within ~2% of an uninstrumented build. The
-// enabled configurations are scale references, not an overhead claim — they
-// deliberately read clocks and touch atomics.
+// Experiment T8: the price of the observability layer. With metrics
+// disabled every instrument is one relaxed load and a branch, and
+// end-to-end certifier runs must stay within ~2% of an uninstrumented
+// build. The enabled configurations are scale references, not an overhead
+// claim — they deliberately read clocks and touch atomics.
 //
-// Compare BM_PipelineMetricsOff against bench_fault_overhead's
-// BM_PipelineNoPlan (same workload, same config) to see the disabled-path
-// cost; compare *MetricsOff vs *MetricsOn within this binary for the price
-// of turning the layer on.
+// Compare BM_CertifierMetricsOff against bench_fault_overhead's
+// BM_CertifierFullReingest (same workload, same certifier) to see the
+// disabled-path cost; compare *MetricsOff vs *MetricsOn within this binary
+// for the price of turning the layer on.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 
 namespace ntsg {
 namespace {
@@ -34,27 +32,6 @@ class ScopedMetrics {
  private:
   bool was_;
 };
-
-void PipelineRun(benchmark::State& state, bool metrics) {
-  const QuickRunResult& run =
-      bench::CachedRun(static_cast<size_t>(state.range(0)), Backend::kMoss);
-  ConcurrentIngestConfig config;
-  config.num_shards = static_cast<size_t>(state.range(1));
-  ScopedMetrics scope(metrics);
-  for (auto _ : state) {
-    ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
-        *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
-    benchmark::DoNotOptimize(report);
-  }
-  state.counters["events"] = static_cast<double>(run.sim.trace.size());
-}
-
-void BM_PipelineMetricsOff(benchmark::State& state) {
-  PipelineRun(state, false);
-}
-void BM_PipelineMetricsOn(benchmark::State& state) {
-  PipelineRun(state, true);
-}
 
 void CertifierRun(benchmark::State& state, bool metrics) {
   const QuickRunResult& run =
@@ -107,12 +84,6 @@ void BM_SpanTimerEnabled(benchmark::State& state) {
   }
 }
 
-BENCHMARK(BM_PipelineMetricsOff)
-    ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PipelineMetricsOn)
-    ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CertifierMetricsOff)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CertifierMetricsOn)->Arg(32)->Arg(128)->Arg(512)

@@ -2,8 +2,8 @@
 // metrics layer (bench_obs_overhead): with tracing disabled every TraceEmit
 // site is one relaxed load and a predictable branch — the disabled micro
 // bench must stay within the same budget as BM_CounterIncDisabled (~1ns) —
-// and end-to-end certifier and pipeline runs must be indistinguishable from
-// an uninstrumented build. The enabled configurations are scale references:
+// and end-to-end certifier runs must be indistinguishable from an
+// uninstrumented build. The enabled configurations are scale references:
 // they deliberately stamp clocks and write ring slots.
 //
 // Compare BM_CertifierTraceOff here against bench_obs_overhead's
@@ -15,7 +15,6 @@
 #include "bench_util.h"
 #include "obs/trace.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 
 namespace ntsg {
 namespace {
@@ -74,34 +73,13 @@ void BM_CertifierTraceOn(benchmark::State& state) {
   CertifierRun(state, true);
 }
 
-void PipelineRun(benchmark::State& state, bool trace) {
-  const QuickRunResult& run =
-      bench::CachedRun(static_cast<size_t>(state.range(0)), Backend::kMoss);
-  ConcurrentIngestConfig config;
-  config.num_shards = static_cast<size_t>(state.range(1));
-  ScopedTrace scope(trace);
-  for (auto _ : state) {
-    ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
-        *run.type, run.sim.trace, ConflictMode::kReadWrite, config);
-    benchmark::DoNotOptimize(report);
-  }
-  state.counters["events"] = static_cast<double>(run.sim.trace.size());
-}
-
-void BM_PipelineTraceOff(benchmark::State& state) {
-  PipelineRun(state, false);
-}
-void BM_PipelineTraceOn(benchmark::State& state) {
-  PipelineRun(state, true);
-}
-
 // Export cost at a fixed recorder population, for sizing --trace-out
 // epilogues: fill one ring with N synthetic events, then serialize.
 void BM_NdjsonExport(benchmark::State& state) {
   ScopedTrace scope(true);
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   for (uint64_t i = 0; i < n; ++i) {
-    obs::TraceEmit(obs::TraceEventKind::kOpApplied, 1,
+    obs::TraceEmit(obs::TraceEventKind::kOpActivated, 1,
                    static_cast<uint32_t>(i % 64), 0, 0, i);
   }
   for (auto _ : state) {
@@ -117,12 +95,6 @@ BENCHMARK(BM_CertifierTraceOff)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CertifierTraceOn)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PipelineTraceOff)
-    ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PipelineTraceOn)
-    ->Args({32, 1})->Args({32, 4})->Args({128, 1})->Args({128, 4})
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NdjsonExport)->Arg(1024)->Arg(4096);
 
 }  // namespace

@@ -10,10 +10,7 @@ namespace ntsg {
 
 std::string FaultStats::ToString() const {
   std::ostringstream out;
-  out << "crashes=" << crashes << " restarts=" << restarts << " (attempts="
-      << restart_attempts << ", failures=" << restart_failures
-      << ") delays=" << delays << " duplicates=" << duplicates
-      << " reorders=" << reorders << " snapshots=" << snapshots
+  out << "crashes=" << crashes << " snapshots=" << snapshots
       << " replayed=" << items_replayed << " injected_aborts="
       << injected_aborts << " spurious_rejects=" << spurious_rejects;
   return out.str();
@@ -22,12 +19,6 @@ std::string FaultStats::ToString() const {
 void PublishFaultStats(const FaultStats& stats) {
   const obs::FaultMetrics& m = obs::GetFaultMetrics();
   m.crashes->Inc(stats.crashes);
-  m.restart_attempts->Inc(stats.restart_attempts);
-  m.restart_failures->Inc(stats.restart_failures);
-  m.restarts->Inc(stats.restarts);
-  m.delays->Inc(stats.delays);
-  m.duplicates->Inc(stats.duplicates);
-  m.reorders->Inc(stats.reorders);
   m.snapshots->Inc(stats.snapshots);
   m.items_replayed->Inc(stats.items_replayed);
   m.injected_aborts->Inc(stats.injected_aborts);
@@ -37,13 +28,9 @@ void PublishFaultStats(const FaultStats& stats) {
 FaultInjector::FaultInjector(const FaultPlan& plan,
                              std::initializer_list<FaultKind> kinds) {
   for (const FaultEvent& e : plan.events) {
-    if (std::find(kinds.begin(), kinds.end(), e.kind) == kinds.end()) {
-      continue;
-    }
-    if (e.kind == FaultKind::kRestartFail) {
-      ++restart_fails_[e.target];
-    } else {
-      events_.push_back(e);  // Plan events are already sorted by `at`.
+    // Plan events are already sorted by `at`.
+    if (std::find(kinds.begin(), kinds.end(), e.kind) != kinds.end()) {
+      events_.push_back(e);
     }
   }
 }
@@ -53,20 +40,12 @@ bool FaultInjector::Poll(uint64_t tick, std::vector<FaultEvent>* fired) {
   while (next_ < events_.size() && events_[next_].at <= tick) {
     const FaultEvent& e = events_[next_++];
     // Span 0 = T0: faults are environment events, outside any transaction.
-    obs::TraceEmit(obs::TraceEventKind::kFaultFired, 0,
-                   static_cast<uint32_t>(e.target),
+    obs::TraceEmit(obs::TraceEventKind::kFaultFired, 0, 0,
                    static_cast<uint32_t>(e.kind), 0, e.param);
     fired->push_back(e);
     any = true;
   }
   return any;
-}
-
-bool FaultInjector::TakeRestartFail(uint64_t target) {
-  auto it = restart_fails_.find(target);
-  if (it == restart_fails_.end() || it->second == 0) return false;
-  --it->second;
-  return true;
 }
 
 }  // namespace ntsg

@@ -7,31 +7,17 @@
 
 namespace ntsg {
 
-/// The fault vocabulary. Every kind models a liveness/robustness hazard the
-/// paper's system model already permits: the controller may abort any
-/// non-completed transaction at any moment (Section 2.3), delivery to a
-/// worker may be late, repeated, or reordered, and a worker may lose its
-/// volatile state and rejoin. A correct checker's verdict must be unchanged
-/// by all of them.
+/// The fault vocabulary. Every kind models a robustness hazard the paper's
+/// system model already permits: the controller may abort any non-completed
+/// transaction at any moment (Section 2.3), and the certifier may lose its
+/// volatile state and resume from a checkpoint. A correct checker's verdict
+/// must be unchanged by all of them.
 enum class FaultKind : uint8_t {
-  /// Ingest pipeline: the targeted shard worker loses all volatile state
-  /// (its per-object replay states) and its thread exits. Recovery restores
-  /// the last snapshot and replays the retained delivery log.
+  /// Online certifier: the certifier loses its state. Recovery restores the
+  /// last snapshot (or starts fresh) and re-feeds the actions since.
   kCrashWorker,
-  /// Ingest pipeline: one restart attempt for the targeted shard fails;
-  /// the router retries with exponential backoff (bounded).
-  kRestartFail,
-  /// Ingest pipeline: hold the next delivery to the targeted shard back
-  /// until `param` further deliveries to that shard have gone out.
-  kDelayDelivery,
-  /// Ingest pipeline: redeliver the most recent delivery to the targeted
-  /// shard a second time (at-least-once delivery).
-  kDuplicateDelivery,
-  /// Ingest pipeline: swap the next delivery to the targeted shard with the
-  /// one after it (equivalent to a delay of one).
-  kReorderDelivery,
-  /// Ingest pipeline: the targeted shard worker checkpoints its per-object
-  /// state and truncates its delivery log.
+  /// Online certifier: the certifier is snapshotted (copied), bounding the
+  /// re-feed of a later crash.
   kSnapshotWorker,
   /// Simulation driver: the controller aborts a live transaction chosen
   /// deterministically by `param` (the paper's controller nondeterminism).
@@ -43,14 +29,13 @@ enum class FaultKind : uint8_t {
 
 const char* FaultKindName(FaultKind kind);
 
-/// One scheduled fault. `at` is a site-local tick: the router's action
-/// position for delivery faults, the simulation step for injected aborts,
-/// the admission-check ordinal for spurious rejections. `target` addresses
-/// a shard where relevant; `param` carries a kind-specific amount.
+/// One scheduled fault. `at` is a site-local tick: the certifier's action
+/// position for crashes and snapshots, the simulation step for injected
+/// aborts, the admission-check ordinal for spurious rejections. `param`
+/// carries a kind-specific amount.
 struct FaultEvent {
   uint64_t at = 0;
   FaultKind kind = FaultKind::kCrashWorker;
-  uint64_t target = 0;
   uint64_t param = 0;
 };
 
@@ -59,27 +44,21 @@ struct FaultEvent {
 /// is independent of the horizon length.
 struct FaultPlanParams {
   size_t crashes = 2;
-  size_t restart_fails = 1;
-  size_t delays = 4;
-  size_t duplicates = 4;
-  size_t reorders = 2;
   size_t snapshots = 2;
   size_t injected_aborts = 0;
   size_t spurious_rejects = 0;
-  /// Upper bound for kDelayDelivery's hold-back amount.
-  uint64_t max_delay = 6;
 };
 
 /// A deterministic, seed-replayable schedule of fault events, sorted by
-/// tick. The same (seed, horizon, num_shards, params) always yields the
-/// same plan, so every chaos run is replayable from its seed alone.
+/// tick. The same (seed, horizon, params) always yields the same plan, so
+/// every chaos run is replayable from its seed alone.
 struct FaultPlan {
   std::vector<FaultEvent> events;
 
-  /// Draws event ticks uniformly over [0, horizon) and shard targets over
-  /// [0, num_shards), per `params`, from a seeded stream.
+  /// Draws event ticks uniformly over [0, horizon), per `params`, from a
+  /// seeded stream.
   static FaultPlan Generate(uint64_t seed, uint64_t horizon,
-                            size_t num_shards, const FaultPlanParams& params);
+                            const FaultPlanParams& params);
 
   bool empty() const { return events.empty(); }
   size_t size() const { return events.size(); }

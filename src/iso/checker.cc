@@ -360,8 +360,7 @@ IsoVerdictVector CheckIsolationLevels(const SystemType& type,
                                       const Trace& beta, ConflictMode mode,
                                       const IsoCheckOptions& options) {
   Trace serial = SerialPart(beta);
-  LabeledSg graph(LabeledConflictRelation(type, serial, mode,
-                                          options.num_threads),
+  LabeledSg graph(LabeledConflictRelation(type, serial, mode),
                   PrecedesRelation(type, serial));
   return CheckFromLabeledGraph(type, serial, mode, graph, options);
 }

@@ -69,7 +69,6 @@ struct IsoVerdictVector {
 };
 
 struct IsoCheckOptions {
-  size_t num_threads = 1;
   /// Annotate + re-verify witnesses (ExplainCycle + VerifyIsoWitness) and
   /// publish metrics/trace events. Off for throughput benchmarking.
   bool explain = true;

@@ -39,8 +39,6 @@ constexpr size_t kNumSimSources = sizeof(kSimSources) / sizeof(kSimSources[0]);
 MinerReport MineAnomalies(const MinerOptions& options) {
   const obs::IsoMetrics& metrics = obs::GetIsoMetrics();
   MinerReport report;
-  IsoCheckOptions check;
-  check.num_threads = options.num_threads;
 
   for (size_t i = 0; i < options.runs; ++i) {
     metrics.miner_runs->Inc();
@@ -89,8 +87,7 @@ MinerReport MineAnomalies(const MinerOptions& options) {
       source = s.str();
     }
 
-    IsoVerdictVector vv =
-        CheckIsolationLevels(*owned_type, trace, mode, check);
+    IsoVerdictVector vv = CheckIsolationLevels(*owned_type, trace, mode);
     if (vv.SerializableOk()) continue;
 
     metrics.miner_hits->Inc();

@@ -201,16 +201,6 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name,
   return inst.gauge.get();
 }
 
-ShardedCounter* MetricsRegistry::GetShardedCounter(const std::string& name,
-                                                   const std::string& help,
-                                                   const std::string& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Instrument& inst =
-      FamilyFor(name, Kind::kShardedCounter, help).instances[labels];
-  if (inst.sharded == nullptr) inst.sharded = std::make_unique<ShardedCounter>();
-  return inst.sharded.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::string& help,
                                          std::vector<uint64_t> bounds,
@@ -293,7 +283,6 @@ std::string MetricsRegistry::PrometheusText() const {
     const char* type = nullptr;
     switch (family.kind) {
       case Kind::kCounter:
-      case Kind::kShardedCounter:
         type = "counter";
         break;
       case Kind::kGauge:
@@ -308,9 +297,6 @@ std::string MetricsRegistry::PrometheusText() const {
       switch (family.kind) {
         case Kind::kCounter:
           out << Series(name, labels) << " " << inst.counter->value() << "\n";
-          break;
-        case Kind::kShardedCounter:
-          out << Series(name, labels) << " " << inst.sharded->value() << "\n";
           break;
         case Kind::kGauge:
           out << Series(name, labels) << " " << inst.gauge->value() << "\n";
@@ -378,9 +364,6 @@ std::string MetricsRegistry::JsonText(bool compact) const {
       switch (family.kind) {
         case Kind::kCounter:
           out << inst.counter->value();
-          break;
-        case Kind::kShardedCounter:
-          out << inst.sharded->value();
           break;
         case Kind::kGauge:
           out << inst.gauge->value();
@@ -451,9 +434,6 @@ void MetricsRegistry::ResetAll() {
       switch (family.kind) {
         case Kind::kCounter:
           inst.counter->Reset();
-          break;
-        case Kind::kShardedCounter:
-          inst.sharded->Reset();
           break;
         case Kind::kGauge:
           inst.gauge->Reset();

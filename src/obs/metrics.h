@@ -1,7 +1,6 @@
 #ifndef NTSG_OBS_METRICS_H_
 #define NTSG_OBS_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -21,9 +20,9 @@ namespace ntsg::obs {
 /// same contract the fault hooks follow.
 ///
 /// Instrumentation is strictly write-only from the instrumented code's point
-/// of view: no certifier, pipeline, or scheduler decision ever reads a
-/// metric, so enabling metrics cannot move a verdict or a graph fingerprint
-/// (the chaos determinism suite runs both ways to enforce this).
+/// of view: no certifier or scheduler decision ever reads a metric, so
+/// enabling metrics cannot move a verdict or a graph fingerprint (the tier-1
+/// suite runs both ways to enforce this).
 bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
 
@@ -56,34 +55,6 @@ class Gauge {
 
  private:
   std::atomic<int64_t> value_{0};
-};
-
-/// Counter sharded over cache-line-padded slots so concurrent writers (e.g.
-/// pipeline workers) never contend on one line; the scrape aggregates the
-/// slots. Callers pass a slot hint (their shard index); any hint is valid.
-class ShardedCounter {
- public:
-  static constexpr size_t kSlots = 16;
-
-  void Inc(size_t slot_hint, uint64_t n = 1) {
-    if (MetricsEnabled()) {
-      slots_[slot_hint % kSlots].v.fetch_add(n, std::memory_order_relaxed);
-    }
-  }
-  uint64_t value() const {
-    uint64_t total = 0;
-    for (const Slot& s : slots_) total += s.v.load(std::memory_order_relaxed);
-    return total;
-  }
-  void Reset() {
-    for (Slot& s : slots_) s.v.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> v{0};
-  };
-  std::array<Slot, kSlots> slots_;
 };
 
 /// Fixed-bucket histogram: bucket upper bounds are chosen at registration
@@ -128,7 +99,7 @@ class Histogram {
 };
 
 /// 1us .. ~1s in roughly 4x steps — wide enough for a single edge insert and
-/// a full shard replay on the same scale.
+/// a full GC pass on the same scale.
 std::vector<uint64_t> DefaultLatencyBucketsUs();
 
 /// Strictly increasing integer bounds from `lo` to at least `hi` in equal
@@ -157,9 +128,9 @@ std::string LabelPair(const std::string& key, const std::string& value);
 
 /// Owner of every instrument: families are keyed by Prometheus-style name
 /// (one kind per name) and instances within a family by a label string like
-/// `shard="3"` (empty for unlabeled). Handles returned by the Get* calls are
-/// stable for the registry's lifetime, so components resolve them once and
-/// record lock-free afterwards; the registry mutex is touched only at
+/// `cause="stall"` (empty for unlabeled). Handles returned by the Get* calls
+/// are stable for the registry's lifetime, so components resolve them once
+/// and record lock-free afterwards; the registry mutex is touched only at
 /// registration and scrape time.
 class MetricsRegistry {
  public:
@@ -170,9 +141,6 @@ class MetricsRegistry {
                       const std::string& labels = "");
   Gauge* GetGauge(const std::string& name, const std::string& help,
                   const std::string& labels = "");
-  ShardedCounter* GetShardedCounter(const std::string& name,
-                                    const std::string& help,
-                                    const std::string& labels = "");
   Histogram* GetHistogram(const std::string& name, const std::string& help,
                           std::vector<uint64_t> bounds,
                           const std::string& labels = "");
@@ -198,12 +166,11 @@ class MetricsRegistry {
   void ResetAll();
 
  private:
-  enum class Kind : uint8_t { kCounter, kGauge, kShardedCounter, kHistogram };
+  enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
 
   struct Instrument {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<ShardedCounter> sharded;
     std::unique_ptr<Histogram> histogram;
   };
 

@@ -17,13 +17,13 @@ namespace ntsg::obs {
 /// Fields split into a deterministic core and wall-clock extras. The core —
 /// virtual-time window, offered/admitted counts, verdict, GC progress — is
 /// a pure function of (workload seed, rate seed, certifier mode), so two
-/// runs at any thread count render byte-identical lines. The extras —
+/// runs render byte-identical lines. The extras —
 /// latency quantiles, queue depths, the full metric-registry snapshot —
 /// measure the machine and are only emitted when the emitter was opened
 /// with include_wallclock (ntsg load --timeline-wallclock).
 struct TimelineEpoch {
   uint64_t epoch = 0;        // 0-based epoch index
-  std::string mode;          // batch | incremental | sharded
+  std::string mode;          // batch | incremental
   uint64_t vtime_start_us = 0;  // virtual-time window [start, end)
   uint64_t vtime_end_us = 0;
   uint64_t offered = 0;           // arrivals scheduled inside the window
@@ -42,7 +42,7 @@ struct TimelineEpoch {
   double p95_us = 0;
   double p99_us = 0;
   double p999_us = 0;
-  uint64_t queue_depth = 0;   // ingest shard queues, sampled at the boundary
+  uint64_t queue_depth = 0;   // admission buffer, sampled at the boundary
   double wall_elapsed_s = 0;  // since the run started
   /// Compact JSON snapshot of every metric family
   /// (MetricsRegistry::JsonText(compact)); empty = omit the field.

@@ -68,8 +68,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kOpParked: return "op_parked";
     case TraceEventKind::kOpFired: return "op_fired";
     case TraceEventKind::kOpDropped: return "op_dropped";
-    case TraceEventKind::kOpRouted: return "op_routed";
-    case TraceEventKind::kOpApplied: return "op_applied";
     case TraceEventKind::kEdgeInserted: return "edge_inserted";
     case TraceEventKind::kEdgeRejected: return "edge_rejected";
     case TraceEventKind::kEdgeRemoved: return "edge_removed";
@@ -77,10 +75,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kAdmissionCheck: return "admission_check";
     case TraceEventKind::kVerdictRejected: return "verdict_rejected";
     case TraceEventKind::kFaultFired: return "fault_fired";
-    case TraceEventKind::kWorkerCrash: return "worker_crash";
-    case TraceEventKind::kWorkerRestart: return "worker_restart";
-    case TraceEventKind::kSnapshot: return "snapshot";
-    case TraceEventKind::kReplay: return "replay";
     case TraceEventKind::kStallAbort: return "stall_abort";
     case TraceEventKind::kInjectedAbort: return "injected_abort";
     case TraceEventKind::kGcRun: return "gc_run";
@@ -109,8 +103,6 @@ TraceEventFieldInfo TraceEventFields(TraceEventKind kind) {
     case TraceEventKind::kOpParked:
     case TraceEventKind::kOpFired:
     case TraceEventKind::kOpDropped:
-    case TraceEventKind::kOpRouted:
-    case TraceEventKind::kOpApplied:
     case TraceEventKind::kAdmissionCheck:
     case TraceEventKind::kStallAbort:
     case TraceEventKind::kInjectedAbort:
@@ -119,10 +111,6 @@ TraceEventFieldInfo TraceEventFields(TraceEventKind kind) {
       return {true, false};
     case TraceEventKind::kVerdictRejected:
     case TraceEventKind::kFaultFired:
-    case TraceEventKind::kWorkerCrash:
-    case TraceEventKind::kWorkerRestart:
-    case TraceEventKind::kSnapshot:
-    case TraceEventKind::kReplay:
     case TraceEventKind::kGcRun:
     case TraceEventKind::kIsoLevelRejected:
     case TraceEventKind::kIsoMinerHit:
@@ -162,7 +150,7 @@ struct TraceRecorder::Impl {
 
 /// Thread-lifetime binding of one ring: created on a thread's first emit,
 /// returns the ring to the recorder's free list when the thread exits so a
-/// successor (e.g. a restarted shard worker) inherits the history.
+/// successor thread inherits the history.
 class TraceRingLease {
  public:
   ~TraceRingLease() {

@@ -26,10 +26,7 @@ struct CertifierReport {
 };
 
 struct CertifyOptions {
-  /// Worker threads for the batch conflict-relation build. Objects are
-  /// sharded across workers (the ConcurrentIngestPipeline decomposition)
-  /// and the per-shard edge sets merged before the acyclicity check; the
-  /// report is identical for every thread count. 1 = fully sequential.
+  /// Ignored; kept only because the perfbench/ benchmark sets it.
   size_t num_threads = 1;
 
   /// Nonzero switches from the batch build to the streaming certifier with

@@ -56,7 +56,7 @@ struct FrontierStats {
 /// the online path) rescans the lists in full, testing both directions; the
 /// internal dedup set keeps re-emission from reaching the caller twice.
 ///
-/// Value-semantic: copyable for ingest-pipeline snapshots. Holds a pointer
+/// Value-semantic: copyable for certifier snapshots. Holds a pointer
 /// to the SystemType, which must outlive it.
 class ObjectConflictFrontier {
  public:

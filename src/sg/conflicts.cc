@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -35,168 +34,74 @@ bool AccessOpsConflict(const SystemType& type, ConflictMode mode, TxName u,
 
 namespace {
 
-/// Runs the frontier over one slice of objects, appending discovered edges
-/// to `out` and accumulating work tallies into `stats`. Reads only the
-/// (immutable during certification) SystemType and this slice's operation
-/// lists, so concurrent calls on disjoint slices are race-free.
-void BuildObjects(const SystemType& type, ConflictMode mode,
-                  const std::vector<std::vector<Operation>>& per_object,
-                  const std::vector<ObjectId>& objects,
-                  std::vector<SiblingEdge>* out, FrontierStats* stats) {
-  for (ObjectId x : objects) {
-    ObjectConflictFrontier frontier(type, mode, x);
-    uint64_t pos = 0;
-    for (const Operation& op : per_object[x]) {
-      frontier.AddOp(op.tx, op.value, pos++, out);
+/// Operations of visible(β, T0), grouped by object (dense table), in order.
+std::vector<std::vector<Operation>> VisibleOpsByObject(const SystemType& type,
+                                                       const Trace& beta) {
+  std::vector<std::vector<Operation>> per_object(type.num_objects());
+  for (const Action& a : VisibleTo(type, beta, kT0)) {
+    if (a.kind == ActionKind::kRequestCommit && type.IsAccess(a.tx)) {
+      per_object[type.ObjectOf(a.tx)].push_back(Operation{a.tx, a.value});
     }
-    stats->edges_emitted += frontier.stats().edges_emitted;
-    stats->hits += frontier.stats().hits;
-    stats->misses += frontier.stats().misses;
-    stats->class_pair_evals += frontier.stats().class_pair_evals;
   }
+  return per_object;
+}
+
+/// Runs one object's operations through `frontier` and folds its work
+/// tallies into the build metrics.
+void RunFrontier(ObjectConflictFrontier& frontier,
+                 const std::vector<Operation>& ops,
+                 std::vector<SiblingEdge>* out) {
+  uint64_t pos = 0;
+  for (const Operation& op : ops) frontier.AddOp(op.tx, op.value, pos++, out);
+  const obs::SgBuildMetrics& metrics = obs::GetSgBuildMetrics();
+  metrics.conflict_edges_emitted->Inc(frontier.stats().edges_emitted);
+  metrics.frontier_hits->Inc(frontier.stats().hits);
+  metrics.frontier_misses->Inc(frontier.stats().misses);
+  metrics.class_pair_evals->Inc(frontier.stats().class_pair_evals);
 }
 
 }  // namespace
 
 std::vector<SiblingEdge> ConflictRelation(const SystemType& type,
-                                          const Trace& beta, ConflictMode mode,
-                                          size_t num_threads) {
-  const obs::SgBuildMetrics& metrics = obs::GetSgBuildMetrics();
-  obs::SpanTimer span(metrics.batch_build_us);
-
-  // Operations of visible(β, T0), grouped by object (dense table), in order.
-  Trace vis = VisibleTo(type, beta, kT0);
-  std::vector<std::vector<Operation>> per_object(type.num_objects());
-  for (const Action& a : vis) {
-    if (a.kind == ActionKind::kRequestCommit && type.IsAccess(a.tx)) {
-      per_object[type.ObjectOf(a.tx)].push_back(Operation{a.tx, a.value});
-    }
-  }
-  std::vector<ObjectId> live;
-  for (ObjectId x = 0; x < per_object.size(); ++x) {
-    if (!per_object[x].empty()) live.push_back(x);
-  }
-
+                                          const Trace& beta,
+                                          ConflictMode mode) {
+  obs::SpanTimer span(obs::GetSgBuildMetrics().batch_build_us);
+  const std::vector<std::vector<Operation>> per_object =
+      VisibleOpsByObject(type, beta);
   std::vector<SiblingEdge> edges;
-  FrontierStats total;
-  if (num_threads <= 1 || live.size() <= 1) {
-    BuildObjects(type, mode, per_object, live, &edges, &total);
-  } else {
-    // Shard objects across workers as the ingest pipeline does; per-object
-    // builds are independent, and the sort+dedup below makes the merged
-    // result identical for every thread count and interleaving.
-    const size_t shards = std::min(num_threads, live.size());
-    std::vector<std::vector<ObjectId>> buckets(shards);
-    for (ObjectId x : live) buckets[HashMix64(x) % shards].push_back(x);
-    std::vector<std::vector<SiblingEdge>> outs(shards);
-    std::vector<FrontierStats> stats(shards);
-    std::vector<std::thread> workers;
-    workers.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      workers.emplace_back([&, s] {
-        BuildObjects(type, mode, per_object, buckets[s], &outs[s], &stats[s]);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    for (size_t s = 0; s < shards; ++s) {
-      edges.insert(edges.end(), outs[s].begin(), outs[s].end());
-      total.edges_emitted += stats[s].edges_emitted;
-      total.hits += stats[s].hits;
-      total.misses += stats[s].misses;
-      total.class_pair_evals += stats[s].class_pair_evals;
-    }
-    metrics.parallel_merges->Inc(shards);
+  for (ObjectId x = 0; x < per_object.size(); ++x) {
+    if (per_object[x].empty()) continue;
+    ObjectConflictFrontier frontier(type, mode, x);
+    RunFrontier(frontier, per_object[x], &edges);
   }
 
   // Canonical order; distinct objects can induce the same sibling edge, so
   // dedup across objects here (each frontier already dedups within one).
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  metrics.conflict_edges_emitted->Inc(total.edges_emitted);
-  metrics.frontier_hits->Inc(total.hits);
-  metrics.frontier_misses->Inc(total.misses);
-  metrics.class_pair_evals->Inc(total.class_pair_evals);
   return edges;
 }
 
-namespace {
-
-/// Label-tracking variant of BuildObjects: runs an EnableLabels() frontier
-/// over one slice of objects and folds each object's edge bitmasks into
-/// `merged` (OR on the kinds, smallest object id as representative).
-void BuildLabeledObjects(const SystemType& type, ConflictMode mode,
-                         const std::vector<std::vector<Operation>>& per_object,
-                         const std::vector<ObjectId>& objects,
-                         std::map<SiblingEdge, EdgeLabel>* merged,
-                         FrontierStats* stats) {
+std::vector<LabeledSiblingEdge> LabeledConflictRelation(const SystemType& type,
+                                                        const Trace& beta,
+                                                        ConflictMode mode) {
+  obs::SpanTimer span(obs::GetSgBuildMetrics().batch_build_us);
+  const std::vector<std::vector<Operation>> per_object =
+      VisibleOpsByObject(type, beta);
+  // Each object's edge bitmasks fold in: OR on the kinds, smallest object id
+  // as representative.
+  std::map<SiblingEdge, EdgeLabel> merged;
   std::vector<SiblingEdge> scratch;
-  for (ObjectId x : objects) {
+  for (ObjectId x = 0; x < per_object.size(); ++x) {
+    if (per_object[x].empty()) continue;
     ObjectConflictFrontier frontier(type, mode, x);
     frontier.EnableLabels();
-    uint64_t pos = 0;
-    for (const Operation& op : per_object[x]) {
-      frontier.AddOp(op.tx, op.value, pos++, &scratch);
-    }
+    RunFrontier(frontier, per_object[x], &scratch);
     for (const auto& [edge, kinds] : frontier.edge_label_bits()) {
-      EdgeLabel& label = (*merged)[edge];
+      EdgeLabel& label = merged[edge];
       label.kinds |= kinds;
       if (x < label.object) label.object = x;
     }
-    stats->edges_emitted += frontier.stats().edges_emitted;
-    stats->hits += frontier.stats().hits;
-    stats->misses += frontier.stats().misses;
-    stats->class_pair_evals += frontier.stats().class_pair_evals;
-  }
-}
-
-}  // namespace
-
-std::vector<LabeledSiblingEdge> LabeledConflictRelation(
-    const SystemType& type, const Trace& beta, ConflictMode mode,
-    size_t num_threads) {
-  const obs::SgBuildMetrics& metrics = obs::GetSgBuildMetrics();
-  obs::SpanTimer span(metrics.batch_build_us);
-
-  Trace vis = VisibleTo(type, beta, kT0);
-  std::vector<std::vector<Operation>> per_object(type.num_objects());
-  for (const Action& a : vis) {
-    if (a.kind == ActionKind::kRequestCommit && type.IsAccess(a.tx)) {
-      per_object[type.ObjectOf(a.tx)].push_back(Operation{a.tx, a.value});
-    }
-  }
-  std::vector<ObjectId> live;
-  for (ObjectId x = 0; x < per_object.size(); ++x) {
-    if (!per_object[x].empty()) live.push_back(x);
-  }
-
-  std::map<SiblingEdge, EdgeLabel> merged;
-  FrontierStats total;
-  if (num_threads <= 1 || live.size() <= 1) {
-    BuildLabeledObjects(type, mode, per_object, live, &merged, &total);
-  } else {
-    const size_t shards = std::min(num_threads, live.size());
-    std::vector<std::vector<ObjectId>> buckets(shards);
-    for (ObjectId x : live) buckets[HashMix64(x) % shards].push_back(x);
-    std::vector<std::map<SiblingEdge, EdgeLabel>> outs(shards);
-    std::vector<FrontierStats> stats(shards);
-    std::vector<std::thread> workers;
-    workers.reserve(shards);
-    for (size_t s = 0; s < shards; ++s) {
-      workers.emplace_back([&, s] {
-        BuildLabeledObjects(type, mode, per_object, buckets[s], &outs[s],
-                            &stats[s]);
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    for (size_t s = 0; s < shards; ++s) {
-      for (const auto& [edge, label] : outs[s]) merged[edge].Merge(label);
-      total.edges_emitted += stats[s].edges_emitted;
-      total.hits += stats[s].hits;
-      total.misses += stats[s].misses;
-      total.class_pair_evals += stats[s].class_pair_evals;
-    }
-    metrics.parallel_merges->Inc(shards);
   }
 
   // The map is keyed by SiblingEdge's canonical (parent, from, to) order, so
@@ -206,11 +111,6 @@ std::vector<LabeledSiblingEdge> LabeledConflictRelation(
   for (const auto& [edge, label] : merged) {
     edges.push_back(LabeledSiblingEdge{edge, label});
   }
-
-  metrics.conflict_edges_emitted->Inc(total.edges_emitted);
-  metrics.frontier_hits->Inc(total.hits);
-  metrics.frontier_misses->Inc(total.misses);
-  metrics.class_pair_evals->Inc(total.class_pair_evals);
   return edges;
 }
 

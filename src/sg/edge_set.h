@@ -22,7 +22,7 @@ inline uint64_t HashMix64(uint64_t z) {
 /// Open-addressing hash map from a 64-bit key to a dense uint32 index, the
 /// workhorse lookup of the conflict frontier. Keys are exact (no collision
 /// folding): callers pack at most two 32-bit ids into the key. Linear
-/// probing, power-of-two capacity, value-semantic (copyable for ingest
+/// probing, power-of-two capacity, value-semantic (copyable for certifier
 /// snapshots). The all-ones key is reserved as the empty sentinel and the
 /// value just below it as the erase tombstone; erasure (the GC retirement
 /// path) tombstones the cell so later probe chains stay intact, and the
@@ -132,7 +132,7 @@ class FlatIndexMap {
 /// Deduplicating set of sibling edges: an insertion-ordered arena of edges
 /// plus an open-addressing slot table over it. Replaces std::set<SiblingEdge>
 /// on the construction hot paths — O(1) expected insert, no node allocations,
-/// value-semantic (copyable for ingest snapshots).
+/// value-semantic (copyable for certifier snapshots).
 ///
 /// Erasure (the GC retirement path) tombstones the slot and turns the arena
 /// entry into a dead sentinel (`parent == kInvalidTx`) so surviving arena

@@ -211,14 +211,13 @@ SgFrontEnd::ParentScope& SgFrontEnd::Scope(TxName parent) {
 
 // --- SgFrontEnd: garbage collection -----------------------------------------
 
-std::vector<TxName> SgFrontEnd::BeginGcPass(const std::vector<HeldOp>& held) {
+std::vector<TxName> SgFrontEnd::BeginGcPass() {
   ++gc_stats_.runs;
   obs::GetGcMetrics().runs->Inc();
   // Fresh actions take positions >= pos_; the only older positions still
   // able to activate belong to parked operations that are not dead (an
-  // aborted-ancestor op never fires) and to operations the consumer holds.
-  // Families owning such work — or unactivated scopes with future precedes
-  // pairs — are blocked outright.
+  // aborted-ancestor op never fires). Families owning such work — or
+  // unactivated scopes with future precedes pairs — are blocked outright.
   uint64_t watermark = pos_;
   std::unordered_set<TxName> blocked;
   for (const auto& [pos, op] : pending_ops_) {
@@ -230,10 +229,6 @@ std::vector<TxName> SgFrontEnd::BeginGcPass(const std::vector<HeldOp>& held) {
     if (parent == kT0 || scope.visible) continue;
     if (tracker_.NeverVisible(parent)) continue;
     blocked.insert(GcFamilyBook::RootOf(*type_, parent));
-  }
-  for (const HeldOp& h : held) {
-    blocked.insert(GcFamilyBook::RootOf(*type_, h.tx));
-    watermark = std::min(watermark, h.pos);
   }
   gc_stats_.last_watermark = watermark;
   obs::GetGcMetrics().live_families->Set(

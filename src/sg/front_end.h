@@ -101,9 +101,9 @@ class VisibilityTracker {
 
 /// The action→SG front end: the one place that decides which operations
 /// are visible to T0 and when a precedes(β) pair exists (PAPER §4,
-/// DESIGN.md §9). Every online consumer of SG(β) — the solo certifier, the
-/// sharded pipeline's router, and the isolation checker — feeds its actions
-/// through one of these and differs only in what it does with the output.
+/// DESIGN.md §9). Both online consumers of SG(β) — the certifier and the
+/// isolation checker — feed their actions through one of these and differ
+/// only in what they do with the output.
 ///
 /// Ingest turns each action into calls on a *sink*, a type with
 ///
@@ -158,20 +158,13 @@ class SgFrontEnd {
   /// True iff a retirement pass is scheduled after the action just ingested.
   bool GcDue() const { return gc_.enabled() && pos_ % gc_.interval == 0; }
 
-  /// An operation the consumer has received but not yet applied (the
-  /// pipeline's fault-held deliveries).
-  struct HeldOp {
-    uint64_t pos;
-    TxName tx;
-  };
-
   /// Starts a retirement pass: counts it, computes the watermark W (no
   /// activation after this point can carry a position below W) and the set
-  /// of families blocked by live parked work or by `held`, records W in
+  /// of families blocked by live parked work, records W in
   /// gc_stats().last_watermark, and returns the sealed candidates (sorted).
   /// The front end keeps the live-family gauge current from here and from
   /// RetireFamilies.
-  std::vector<TxName> BeginGcPass(const std::vector<HeldOp>& held = {});
+  std::vector<TxName> BeginGcPass();
 
   /// The families this pass retires: PredecessorClosure of `sealed` in
   /// `graph` (the consumer's T0 component). Emits the pass's trace event.

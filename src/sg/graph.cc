@@ -85,9 +85,8 @@ std::vector<Component> BuildComponents(
 
 SerializationGraph SerializationGraph::Build(const SystemType& type,
                                              const Trace& beta,
-                                             ConflictMode mode,
-                                             size_t num_threads) {
-  return FromEdges(ConflictRelation(type, beta, mode, num_threads),
+                                             ConflictMode mode) {
+  return FromEdges(ConflictRelation(type, beta, mode),
                    PrecedesRelation(type, beta));
 }
 

@@ -19,10 +19,8 @@ class SerializationGraph {
  public:
   /// Builds SG(β) from a sequence of serial actions. (For a generic behavior
   /// apply SerialPart first, mirroring the paper's SG(serial(β)).)
-  /// `num_threads` > 1 parallelizes the conflict-relation build across
-  /// objects; the resulting graph is identical for every thread count.
   static SerializationGraph Build(const SystemType& type, const Trace& beta,
-                                  ConflictMode mode, size_t num_threads = 1);
+                                  ConflictMode mode);
 
   /// Builds from precomputed edge sets (used by incremental callers).
   static SerializationGraph FromEdges(std::vector<SiblingEdge> conflict_edges,

@@ -33,10 +33,9 @@ namespace ntsg {
 /// handles the out-of-order insert natively).
 ///
 /// Copyable (the serial-spec replay state clones; the frontier has value
-/// semantics), which is what shard snapshots and certifier restore points
-/// are made of. Re-inserting an already present (pos, tx, value) — a
-/// duplicated delivery — is an exact no-op, so at-least-once delivery
-/// cannot shift the verdict.
+/// semantics), which is what certifier snapshots are made of. Re-inserting
+/// an already present (pos, tx, value) is an exact no-op, so replaying an
+/// operation twice cannot shift the verdict.
 class ObjectIngestState {
  public:
   ObjectIngestState(const SystemType& type, ObjectId x, ConflictMode mode);

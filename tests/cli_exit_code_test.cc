@@ -30,6 +30,22 @@ int RunCli(const std::string& args) {
   return WEXITSTATUS(rc);
 }
 
+/// Runs `ntsg <args>`, capturing stdout into `out` (stderr discarded);
+/// returns the exit code.
+int RunCliCapture(const std::string& args, std::string* out) {
+  std::string cmd = std::string(NTSG_CLI_PATH) + " " + args + " 2>/dev/null";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << cmd;
+  if (pipe == nullptr) return -1;
+  out->clear();
+  char buf[4096];
+  size_t n;
+  while ((n = fread(buf, 1, sizeof(buf), pipe)) > 0) out->append(buf, n);
+  int rc = pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(rc)) << cmd;
+  return WEXITSTATUS(rc);
+}
+
 std::string TempPath(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
@@ -44,6 +60,30 @@ TEST(CliExitCodeTest, UsageErrorsReturn2) {
   EXPECT_EQ(RunCli("run --no-such-flag"), 2);      // unknown flag
   EXPECT_EQ(RunCli("run --seed"), 2);              // flag missing its value
   EXPECT_EQ(RunCli("trace --toplevel 2"), 2);      // trace needs --trace-out
+  EXPECT_EQ(RunCli("run --shards 2"), 2);          // no sharded certifier
+  EXPECT_EQ(RunCli("load --certifier sharded"), 2);
+  EXPECT_EQ(RunCli("run --wal /tmp/ntsg_cli_wal"), 2);  // wal needs online
+}
+
+// ntsg chaos crashes the online certifier and restores it from snapshots;
+// it must end on the clean run's verdict and graph (MATCH, exit 0), and the
+// fault log must show the plan really crashed it.
+TEST(CliExitCodeTest, ChaosCrashesTheCertifierAndMatches) {
+  const std::string wal = TempPath("ntsg_cli_chaos_wal");
+  std::filesystem::remove_all(wal);
+  for (const std::string& extra :
+       {std::string(), std::string(" --backend sgt"), " --wal " + wal}) {
+    std::string out;
+    EXPECT_EQ(RunCliCapture("chaos --toplevel 6 --seed 2" + extra, &out), 0)
+        << extra << "\n" << out;
+    EXPECT_NE(out.find("\nMATCH"), std::string::npos) << extra << "\n" << out;
+    const std::string key = "fault log: crashes=";
+    const size_t at = out.find(key);
+    ASSERT_NE(at, std::string::npos) << extra << "\n" << out;
+    EXPECT_GE(std::stoul(out.substr(at + key.size())), 1u) << extra;
+  }
+  EXPECT_TRUE(std::filesystem::exists(wal + "/seg-00000000.ntsgs"));
+  std::filesystem::remove_all(wal);
 }
 
 TEST(CliExitCodeTest, UnwritableOutputPathsReturn2BeforeAnyWork) {
@@ -209,8 +249,8 @@ TEST(CliExitCodeTest, LoadRunsWriteTimelineAndAgreeAcrossModes) {
   EXPECT_NE(first.find("\"verdict\":"), std::string::npos) << first;
   std::remove(tl.c_str());
 
-  // --certifier all demands batch, incremental, and sharded agree; a clean
-  // workload certifies everywhere, so the run exits 0, not 3.
+  // --certifier all demands batch and incremental agree; a clean workload
+  // certifies under both, so the run exits 0, not 3.
   EXPECT_EQ(RunCli("load --workload commute --toplevel 12 --objects 6 "
                    "--seed 2 --no-pace --certifier all"),
             0);
@@ -250,18 +290,18 @@ TEST(CliExitCodeTest, MetricsOutWritesScrapeParseableSnapshot) {
       WriteTraceFile(trace_path, *run.type, run.sim.trace).ok());
 
   std::string prom = TempPath("ntsg_cli_metrics.prom");
-  EXPECT_EQ(RunCli("certify " + trace_path + " --online --shards 2" +
+  EXPECT_EQ(RunCli("certify " + trace_path + " --online --gc=8" +
                    " --metrics-out=" + prom),
             0);
   std::ifstream in(prom);
   ASSERT_TRUE(in.good()) << prom;
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  // The snapshot names every layer's family — certifier, ingest, and fault
+  // The snapshot names every layer's family — certifier, GC, and fault
   // recovery — and the certifier actually counted this trace's actions.
   EXPECT_NE(text.find("# TYPE ntsg_certifier_actions_total counter"),
             std::string::npos);
-  EXPECT_NE(text.find("ntsg_ingest_ops_processed_total"), std::string::npos);
+  EXPECT_NE(text.find("ntsg_gc_runs_total"), std::string::npos);
   EXPECT_NE(text.find("ntsg_fault_crashes_total"), std::string::npos);
   EXPECT_EQ(text.find("ntsg_certifier_actions_total 0\n"), std::string::npos)
       << "certifier family never counted:\n"

@@ -1,10 +1,10 @@
 // Golden-corpus regression test. tests/corpus/ holds seeded traces (Moss,
 // undo, MVTO, SGT, and deliberately broken backends) with their expected
 // verdicts, edge counts, and serialization-graph fingerprints pinned in
-// MANIFEST.tsv by tools/corpus_gen. Every entry is replayed through all
-// three certifier implementations — batch, incremental, and the sharded
-// pipeline — so any drift in certification semantics, conflict detection,
-// or fingerprinting fails loudly here before it reaches a fuzz tier.
+// MANIFEST.tsv by tools/corpus_gen. Every entry is replayed through both
+// certifier implementations — batch and incremental — so any drift in
+// certification semantics, conflict detection, or fingerprinting fails
+// loudly here before it reaches a fuzz tier.
 //
 // To refresh after an intentional semantic change:
 //   ./build/tools/corpus_gen tests/corpus   (then review the MANIFEST diff)
@@ -22,7 +22,6 @@
 #include "iso/incremental_iso.h"
 #include "sg/certifier.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 #include "tx/trace_io.h"
 
 namespace ntsg {
@@ -111,25 +110,6 @@ TEST_F(CorpusTest, IncrementalCertifierMatchesGoldenGraphs) {
     EXPECT_EQ(cert.conflict_edge_count(), e.conflict_edges) << e.file;
     EXPECT_EQ(cert.precedes_edge_count(), e.precedes_edges) << e.file;
     EXPECT_EQ(cert.graph_fingerprint(), e.fingerprint) << e.file;
-  }
-}
-
-TEST_F(CorpusTest, ShardedPipelineMatchesGoldenGraphs) {
-  for (const auto& e : entries_) {
-    SystemType type;
-    Trace trace;
-    ASSERT_TRUE(ReadTraceFile(std::string(NTSG_CORPUS_DIR) + "/" + e.file,
-                              &type, &trace)
-                    .ok())
-        << e.file;
-    ConcurrentIngestConfig config;
-    config.num_shards = 3;
-    ConcurrentIngestReport report =
-        ConcurrentIngestPipeline::Run(type, trace, e.mode, config);
-    EXPECT_EQ(report.ok(), e.expect_ok) << e.file;
-    EXPECT_EQ(report.conflict_edge_count, e.conflict_edges) << e.file;
-    EXPECT_EQ(report.precedes_edge_count, e.precedes_edges) << e.file;
-    EXPECT_EQ(report.graph_fingerprint, e.fingerprint) << e.file;
   }
 }
 

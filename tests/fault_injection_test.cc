@@ -1,29 +1,25 @@
-// The fault-injection guarantee, enforced: for every seeded workload × fault
-// plan, the post-fault verdict and serialization-graph fingerprint are
-// byte-identical to the fault-free run; duplicated deliveries are idempotent;
-// snapshot/restore resumes a certifier without re-ingesting the prefix; and
-// plan-driven faults in the simulation driver and SGT coordinator leave the
-// produced behaviors serially correct.
+// The fault-injection guarantee, enforced: fault plans are deterministic;
+// re-inserting an operation is idempotent; snapshot/restore resumes a
+// certifier without re-ingesting the prefix; for every seeded workload ×
+// fault plan, crashing the certifier and restoring it from its snapshots
+// (CertifyWithCrashes, the recovery `ntsg chaos` runs) lands on the
+// uninterrupted run's verdict, rejection point, graph fingerprint and GC
+// schedule; and plan-driven faults in the simulation driver and SGT
+// coordinator leave the produced behaviors serially correct.
 //
-// The determinism suite covers 25 workload seeds × 4 fault-plan seeds × both
-// conflict modes = 200 (workload, plan) pairs. The GC-interaction suite runs
-// another 56 pairs with the commit-watermark collector enabled, proving that
-// crash/restart, duplicated deliveries, and snapshot/replay *after pruning*
-// still land on the fault-free unpruned verdict and live-scope fingerprint.
-// It carries the `nightly` label as well as `tier1`, so the scheduled TSan
-// job replays the whole suite under the race detector with faults enabled.
+// The crash suite covers 25 workload seeds × 4 fault-plan seeds × both
+// conflict modes = 200 (workload, plan) pairs, half of them with the
+// commit-watermark collector on.
 
 #include <gtest/gtest.h>
 
-#include <set>
-#include <unordered_set>
 #include <vector>
 
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "sg/certifier.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
+#include "sim/chaos.h"
 #include "sim/driver.h"
 
 namespace ntsg {
@@ -47,32 +43,27 @@ QuickRunResult MakeWorkload(uint64_t seed, ObjectType object_type,
 
 TEST(FaultPlanTest, GenerationIsDeterministic) {
   FaultPlanParams params;
-  FaultPlan a = FaultPlan::Generate(42, 1000, 4, params);
-  FaultPlan b = FaultPlan::Generate(42, 1000, 4, params);
+  params.injected_aborts = 2;
+  FaultPlan a = FaultPlan::Generate(42, 1000, params);
+  FaultPlan b = FaultPlan::Generate(42, 1000, params);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.events[i].at, b.events[i].at);
     EXPECT_EQ(a.events[i].kind, b.events[i].kind);
-    EXPECT_EQ(a.events[i].target, b.events[i].target);
     EXPECT_EQ(a.events[i].param, b.events[i].param);
   }
-  FaultPlan c = FaultPlan::Generate(43, 1000, 4, params);
+  FaultPlan c = FaultPlan::Generate(43, 1000, params);
   EXPECT_NE(a.ToString(), c.ToString());
 }
 
 TEST(FaultPlanTest, RespectsParamsAndHorizon) {
   FaultPlanParams params;
   params.crashes = 3;
-  params.restart_fails = 2;
-  params.delays = 5;
-  params.duplicates = 1;
-  params.reorders = 0;
-  params.snapshots = 2;
+  params.snapshots = 0;
   params.injected_aborts = 4;
   params.spurious_rejects = 1;
-  FaultPlan plan = FaultPlan::Generate(7, 500, 3, params);
-  size_t crashes = 0, fails = 0, delays = 0, dups = 0, reorders = 0,
-         snaps = 0, aborts = 0, rejects = 0;
+  FaultPlan plan = FaultPlan::Generate(7, 500, params);
+  size_t crashes = 0, snaps = 0, aborts = 0, rejects = 0;
   uint64_t prev = 0;
   for (const FaultEvent& e : plan.events) {
     EXPECT_LT(e.at, 500u);
@@ -80,21 +71,7 @@ TEST(FaultPlanTest, RespectsParamsAndHorizon) {
     prev = e.at;
     switch (e.kind) {
       case FaultKind::kCrashWorker:
-        EXPECT_LT(e.target, 3u);
         ++crashes;
-        break;
-      case FaultKind::kRestartFail:
-        ++fails;
-        break;
-      case FaultKind::kDelayDelivery:
-        EXPECT_GE(e.param, 1u);
-        ++delays;
-        break;
-      case FaultKind::kDuplicateDelivery:
-        ++dups;
-        break;
-      case FaultKind::kReorderDelivery:
-        ++reorders;
         break;
       case FaultKind::kSnapshotWorker:
         ++snaps;
@@ -108,22 +85,18 @@ TEST(FaultPlanTest, RespectsParamsAndHorizon) {
     }
   }
   EXPECT_EQ(crashes, 3u);
-  EXPECT_EQ(fails, 2u);
-  EXPECT_EQ(delays, 5u);
-  EXPECT_EQ(dups, 1u);
-  EXPECT_EQ(reorders, 0u);
-  EXPECT_EQ(snaps, 2u);
+  EXPECT_EQ(snaps, 0u);
   EXPECT_EQ(aborts, 4u);
   EXPECT_EQ(rejects, 1u);
 }
 
 TEST(FaultInjectorTest, FiltersKindsAndFiresMonotonically) {
   FaultPlan plan;
-  plan.events.push_back({5, FaultKind::kCrashWorker, 0, 0});
-  plan.events.push_back({5, FaultKind::kInjectAbort, 0, 9});
-  plan.events.push_back({10, FaultKind::kDelayDelivery, 1, 3});
+  plan.events.push_back({5, FaultKind::kCrashWorker, 0});
+  plan.events.push_back({5, FaultKind::kInjectAbort, 9});
+  plan.events.push_back({10, FaultKind::kSnapshotWorker, 0});
   FaultInjector injector(plan,
-                         {FaultKind::kCrashWorker, FaultKind::kDelayDelivery});
+                         {FaultKind::kCrashWorker, FaultKind::kSnapshotWorker});
   std::vector<FaultEvent> fired;
   EXPECT_FALSE(injector.Poll(4, &fired));
   EXPECT_TRUE(fired.empty());
@@ -133,25 +106,11 @@ TEST(FaultInjectorTest, FiltersKindsAndFiresMonotonically) {
   fired.clear();
   EXPECT_TRUE(injector.Poll(100, &fired));
   ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].kind, FaultKind::kDelayDelivery);
+  EXPECT_EQ(fired[0].kind, FaultKind::kSnapshotWorker);
   EXPECT_EQ(injector.pending(), 0u);
 }
 
-TEST(FaultInjectorTest, RestartFailsAreCountedPerTarget) {
-  FaultPlan plan;
-  plan.events.push_back({0, FaultKind::kRestartFail, 2, 0});
-  plan.events.push_back({0, FaultKind::kRestartFail, 2, 0});
-  plan.events.push_back({0, FaultKind::kRestartFail, 0, 0});
-  FaultInjector injector(plan, {FaultKind::kRestartFail});
-  EXPECT_TRUE(injector.TakeRestartFail(2));
-  EXPECT_TRUE(injector.TakeRestartFail(2));
-  EXPECT_FALSE(injector.TakeRestartFail(2));
-  EXPECT_TRUE(injector.TakeRestartFail(0));
-  EXPECT_FALSE(injector.TakeRestartFail(0));
-  EXPECT_FALSE(injector.TakeRestartFail(1));
-}
-
-// --- Idempotency of delivery ------------------------------------------------
+// --- Idempotency of re-insertion ---------------------------------------------
 
 TEST(IdempotencyTest, DuplicateInsertVisibleOpIsExactNoOp) {
   SystemType type;
@@ -169,7 +128,7 @@ TEST(IdempotencyTest, DuplicateInsertVisibleOpIsExactNoOp) {
   EXPECT_EQ(edges[0], (SiblingEdge{top, w, r}));
   EXPECT_TRUE(state.legal());
 
-  // Redeliver both; nothing may change, in particular no re-emitted edges.
+  // Re-insert both; nothing may change, in particular no re-emitted edges.
   edges.clear();
   state.InsertVisibleOp(3, w, Value::Ok(), &edges);
   state.InsertVisibleOp(8, r, Value::Int(5), &edges);
@@ -224,110 +183,30 @@ TEST(SnapshotRestoreTest, SnapshotIsUnaffectedByLaterIngest) {
   EXPECT_EQ(snapshot.actions_ingested(), third);
 }
 
-// --- Pipeline recovery -------------------------------------------------------
-
-// A hand-built plan that forces the live restart path: one shard, a crash
-// right after ingestion begins, and two failed restart attempts before the
-// third succeeds. Any operation routed after the crash makes the router
-// observe the dead worker and bring it back with backoff.
-TEST(PipelineRecoveryTest, CrashedWorkerRestartsWithBackoffAndReplays) {
-  QuickRunResult run = MakeWorkload(3, ObjectType::kReadWrite);
-  const Trace& beta = run.sim.trace;
-
-  ConcurrentIngestConfig clean_config;
-  clean_config.num_shards = 1;
-  // A one-slot queue keeps router and worker in lockstep, so the router is
-  // guaranteed to attempt a push *after* the worker has consumed the crash
-  // item — that push observes the dead worker and must take the live
-  // restart path (rather than Finish-time drain recovery).
-  clean_config.queue_capacity = 1;
-  ConcurrentIngestReport clean =
-      ConcurrentIngestPipeline::Run(*run.type, beta, ConflictMode::kReadWrite,
-                                    clean_config);
-  ASSERT_GT(clean.ops_routed, 0u);
-
-  FaultPlan plan;
-  plan.events.push_back({2, FaultKind::kCrashWorker, 0, 0});
-  plan.events.push_back({0, FaultKind::kRestartFail, 0, 0});
-  plan.events.push_back({0, FaultKind::kRestartFail, 0, 0});
-
-  ConcurrentIngestConfig config = clean_config;
-  config.fault_plan = &plan;
-  ConcurrentIngestReport report =
-      ConcurrentIngestPipeline::Run(*run.type, beta, ConflictMode::kReadWrite,
-                                    config);
-
-  EXPECT_EQ(report.faults.crashes, 1u);
-  EXPECT_EQ(report.faults.restarts, 1u);
-  EXPECT_EQ(report.faults.restart_failures, 2u);
-  EXPECT_EQ(report.faults.restart_attempts, 3u);
-  EXPECT_EQ(report.ok(), clean.ok());
-  EXPECT_EQ(report.graph_fingerprint, clean.graph_fingerprint);
-  EXPECT_EQ(report.conflict_edge_count, clean.conflict_edge_count);
-  EXPECT_EQ(report.precedes_edge_count, clean.precedes_edge_count);
-  EXPECT_EQ(report.ops_routed, clean.ops_routed);
-}
-
-// Snapshots bound the replay: after a snapshot, recovery replays only the
-// deliveries since it, not since the beginning.
-TEST(PipelineRecoveryTest, SnapshotTruncatesTheReplayLog) {
-  QuickRunResult run = MakeWorkload(5, ObjectType::kReadWrite);
-  const Trace& beta = run.sim.trace;
-
-  ConcurrentIngestConfig config;
-  config.num_shards = 1;
-
-  // Crash at the very end: everything delivered since the last snapshot is
-  // replayed during Finish-time recovery.
-  FaultPlan no_snap;
-  no_snap.events.push_back(
-      {static_cast<uint64_t>(beta.size() - 1), FaultKind::kCrashWorker, 0, 0});
-  ConcurrentIngestConfig a = config;
-  a.fault_plan = &no_snap;
-  ConcurrentIngestReport without =
-      ConcurrentIngestPipeline::Run(*run.type, beta, ConflictMode::kReadWrite,
-                                    a);
-
-  FaultPlan with_snap = no_snap;
-  with_snap.events.insert(
-      with_snap.events.begin(),
-      {static_cast<uint64_t>(beta.size() * 3 / 4), FaultKind::kSnapshotWorker,
-       0, 0});
-  ConcurrentIngestConfig b = config;
-  b.fault_plan = &with_snap;
-  ConcurrentIngestReport with =
-      ConcurrentIngestPipeline::Run(*run.type, beta, ConflictMode::kReadWrite,
-                                    b);
-
-  EXPECT_EQ(without.graph_fingerprint, with.graph_fingerprint);
-  if (without.faults.items_replayed > 0) {
-    EXPECT_LE(with.faults.items_replayed, without.faults.items_replayed);
-  }
-}
-
-// --- The 200-pair determinism suite ------------------------------------------
+// --- Certifier crash recovery -------------------------------------------------
 
 struct ModeCase {
   ObjectType object_type;
   ConflictMode mode;
 };
 
-// 25 workload seeds × 4 plan seeds × 2 conflict modes = 200 pairs. A third
-// of the workloads use a deliberately broken backend, so the suite also
-// proves that *rejected* verdicts are stable under faults — a chaos layer
-// that could flip REJECTED to ok would be worse than none.
-TEST(ChaosDeterminismTest, VerdictAndFingerprintSurviveEveryPlan) {
+// 25 workload seeds × 4 plan seeds × 2 conflict modes = 200 pairs. Every
+// third workload runs a deliberately broken backend, so the suite also
+// proves that *rejected* verdicts and their rejection points are stable
+// under crashes. Odd plan seeds run with GC on: a snapshot carries the
+// collector's state, so the restored run retires exactly the families the
+// uninterrupted one does.
+TEST(CrashRecoveryTest, VerdictAndFingerprintSurviveEveryPlan) {
   const ModeCase kModes[] = {
       {ObjectType::kReadWrite, ConflictMode::kReadWrite},
       {ObjectType::kCounter, ConflictMode::kCommutativity},
   };
   size_t pairs = 0;
-  size_t total_faults = 0;
+  FaultStats total;
   size_t rejected_workloads = 0;
+  size_t retired = 0;
   for (const ModeCase& mc : kModes) {
     for (uint64_t workload_seed = 1; workload_seed <= 25; ++workload_seed) {
-      // Every third workload runs a deliberately broken backend so the
-      // corpus of (workload, plan) pairs includes REJECTED verdicts too.
       bool broken = workload_seed % 3 == 0;
       Backend backend =
           mc.object_type == ObjectType::kReadWrite
@@ -337,137 +216,48 @@ TEST(ChaosDeterminismTest, VerdictAndFingerprintSurviveEveryPlan) {
                                         backend);
       const Trace& beta = run.sim.trace;
 
-      ConcurrentIngestConfig clean_config;
-      clean_config.num_shards = 3;
-      clean_config.seed = workload_seed;
-      ConcurrentIngestReport clean =
-          ConcurrentIngestPipeline::Run(*run.type, beta, mc.mode,
-                                        clean_config);
-      if (!clean.ok()) ++rejected_workloads;
-
-      // The pipeline's fingerprint must agree with the sequential
-      // certifier's before any fault enters the picture.
-      IncrementalCertifier cert(*run.type, mc.mode);
-      cert.IngestTrace(beta);
-      ASSERT_EQ(clean.graph_fingerprint, cert.graph_fingerprint());
-
       for (uint64_t plan_seed = 1; plan_seed <= 4; ++plan_seed) {
-        FaultPlanParams params;
-        params.crashes = 2;
-        params.restart_fails = 1;
-        params.delays = 3;
-        params.duplicates = 3;
-        params.reorders = 2;
-        params.snapshots = 1;
-        FaultPlan plan = FaultPlan::Generate(
-            plan_seed * 1000 + workload_seed, beta.size(),
-            clean_config.num_shards, params);
+        GcOptions gc;
+        gc.interval = plan_seed % 2 == 1 ? 8 + workload_seed : 0;
+        IncrementalCertifier clean(*run.type, mc.mode, gc);
+        clean.IngestTrace(beta);
+        if (plan_seed == 1 && !clean.verdict().ok()) ++rejected_workloads;
 
-        ConcurrentIngestConfig chaos_config = clean_config;
-        chaos_config.fault_plan = &plan;
-        ConcurrentIngestReport chaotic = ConcurrentIngestPipeline::Run(
-            *run.type, beta, mc.mode, chaos_config);
+        FaultPlanParams params;
+        params.crashes = 3;
+        params.snapshots = 2;
+        FaultPlan plan = FaultPlan::Generate(plan_seed * 1000 + workload_seed,
+                                             beta.size(), params);
+        FaultStats stats;
+        IncrementalCertifier chaotic = CertifyWithCrashes(
+            IncrementalCertifier(*run.type, mc.mode, gc), beta, plan, &stats);
 
         ++pairs;
-        total_faults += chaotic.faults.total_injected();
-        ASSERT_EQ(chaotic.appropriate, clean.appropriate)
-            << "workload " << workload_seed << " plan " << plan_seed;
-        ASSERT_EQ(chaotic.acyclic, clean.acyclic)
-            << "workload " << workload_seed << " plan " << plan_seed;
-        ASSERT_EQ(chaotic.graph_fingerprint, clean.graph_fingerprint)
-            << "workload " << workload_seed << " plan " << plan_seed;
-        ASSERT_EQ(chaotic.conflict_edge_count, clean.conflict_edge_count);
-        ASSERT_EQ(chaotic.precedes_edge_count, clean.precedes_edge_count);
-        ASSERT_EQ(chaotic.ops_routed, clean.ops_routed);
+        total.crashes += stats.crashes;
+        total.items_replayed += stats.items_replayed;
+        retired += chaotic.retired_roots().size();
+        const std::string label = "workload " + std::to_string(workload_seed) +
+                                  " plan " + std::to_string(plan_seed);
+        ASSERT_EQ(chaotic.verdict().appropriate, clean.verdict().appropriate)
+            << label;
+        ASSERT_EQ(chaotic.verdict().acyclic, clean.verdict().acyclic) << label;
+        ASSERT_EQ(chaotic.first_rejection_pos(), clean.first_rejection_pos())
+            << label;
+        ASSERT_EQ(chaotic.graph_fingerprint(), clean.graph_fingerprint())
+            << label;
+        ASSERT_EQ(chaotic.conflict_edge_count(), clean.conflict_edge_count());
+        ASSERT_EQ(chaotic.precedes_edge_count(), clean.precedes_edge_count());
+        ASSERT_EQ(chaotic.SortedRetiredRoots(), clean.SortedRetiredRoots())
+            << label;
+        ASSERT_EQ(chaotic.actions_ingested(), beta.size()) << label;
       }
     }
   }
   EXPECT_EQ(pairs, 200u);
-  EXPECT_GT(total_faults, 0u);       // the plans genuinely fired
-  EXPECT_GT(rejected_workloads, 0u);  // rejected verdicts were covered too
-}
-
-// --- GC × chaos interaction ---------------------------------------------------
-
-// 7 workload seeds × 4 plan seeds × 2 conflict modes = 56 pairs, all with the
-// commit-watermark collector on. Faults change *when* families retire (held
-// deliveries block sealing, crashes interleave with barriers), so the chaotic
-// retirement schedule is not compared against the clean one; the contract is
-// that whatever the pipeline pruned, its surviving graph equals the fault-free
-// unpruned certifier's restricted to the same live scope, and the verdict is
-// untouched. Duplicated deliveries landing behind a prune and snapshot/replay
-// of pruned shards are exactly the resurrection paths this suite pins down.
-TEST(GcChaosTest, PrunedPipelineSurvivesEveryPlan) {
-  const ModeCase kModes[] = {
-      {ObjectType::kReadWrite, ConflictMode::kReadWrite},
-      {ObjectType::kCounter, ConflictMode::kCommutativity},
-  };
-  size_t pairs = 0;
-  size_t total_faults = 0;
-  size_t total_retired = 0;
-  size_t rejected_workloads = 0;
-  for (const ModeCase& mc : kModes) {
-    for (uint64_t workload_seed = 1; workload_seed <= 7; ++workload_seed) {
-      bool broken = workload_seed % 3 == 0;
-      Backend backend =
-          mc.object_type == ObjectType::kReadWrite
-              ? (broken ? Backend::kDirtyReadMoss : Backend::kMoss)
-              : (broken ? Backend::kNoCommuteUndo : Backend::kUndo);
-      QuickRunResult run = MakeWorkload(workload_seed, mc.object_type,
-                                        backend);
-      const Trace& beta = run.sim.trace;
-
-      // Ground truth: fault-free, unpruned, sequential.
-      IncrementalCertifier truth(*run.type, mc.mode);
-      truth.IngestTrace(beta);
-      if (!truth.verdict().ok()) ++rejected_workloads;
-
-      ConcurrentIngestConfig gc_config;
-      gc_config.num_shards = 3;
-      gc_config.seed = workload_seed;
-      gc_config.gc_interval = 16 + workload_seed;
-
-      for (uint64_t plan_seed = 1; plan_seed <= 4; ++plan_seed) {
-        FaultPlanParams params;
-        params.crashes = 2;
-        params.restart_fails = 1;
-        params.delays = 3;
-        params.duplicates = 3;
-        params.reorders = 2;
-        params.snapshots = 1;
-        FaultPlan plan = FaultPlan::Generate(
-            plan_seed * 1000 + workload_seed, beta.size(),
-            gc_config.num_shards, params);
-
-        ConcurrentIngestConfig chaos_config = gc_config;
-        chaos_config.fault_plan = &plan;
-        ConcurrentIngestReport chaotic = ConcurrentIngestPipeline::Run(
-            *run.type, beta, mc.mode, chaos_config);
-
-        ++pairs;
-        total_faults += chaotic.faults.total_injected();
-        total_retired += chaotic.retired_roots.size();
-        ASSERT_EQ(chaotic.appropriate, truth.verdict().appropriate)
-            << "workload " << workload_seed << " plan " << plan_seed;
-        ASSERT_EQ(chaotic.acyclic, truth.verdict().acyclic)
-            << "workload " << workload_seed << " plan " << plan_seed;
-        std::unordered_set<TxName> retired(chaotic.retired_roots.begin(),
-                                           chaotic.retired_roots.end());
-        ASSERT_EQ(chaotic.graph_fingerprint,
-                  truth.FingerprintLiveScope(retired))
-            << "workload " << workload_seed << " plan " << plan_seed;
-        ASSERT_EQ(chaotic.gc.retired_families, chaotic.retired_roots.size());
-        // Faults live below the router, so they can never make a well-formed
-        // stream look like it named a retired family.
-        ASSERT_EQ(chaotic.gc.late_events, 0u)
-            << "workload " << workload_seed << " plan " << plan_seed;
-      }
-    }
-  }
-  EXPECT_EQ(pairs, 56u);
-  EXPECT_GT(total_faults, 0u);        // the plans genuinely fired
-  EXPECT_GT(total_retired, 0u);       // pruning genuinely happened under chaos
-  EXPECT_GT(rejected_workloads, 0u);  // rejected verdicts were covered too
+  EXPECT_EQ(total.crashes, 600u);      // every planned crash fired
+  EXPECT_GT(total.items_replayed, 0u);  // and recovery re-fed actions
+  EXPECT_GT(rejected_workloads, 0u);    // rejected verdicts were covered too
+  EXPECT_GT(retired, 0u);               // GC genuinely ran under crashes
 }
 
 // --- Driver-level faults -----------------------------------------------------
@@ -475,13 +265,9 @@ TEST(GcChaosTest, PrunedPipelineSurvivesEveryPlan) {
 TEST(DriverFaultTest, PlanAbortsAreDeterministicAndStayCorrect) {
   FaultPlanParams params;
   params.crashes = 0;
-  params.restart_fails = 0;
-  params.delays = 0;
-  params.duplicates = 0;
-  params.reorders = 0;
   params.snapshots = 0;
   params.injected_aborts = 4;
-  FaultPlan plan = FaultPlan::Generate(77, 800, 1, params);
+  FaultPlan plan = FaultPlan::Generate(77, 800, params);
 
   auto run_once = [&] {
     QuickRunParams p;
@@ -517,14 +303,10 @@ TEST(DriverFaultTest, PlanAbortsAreDeterministicAndStayCorrect) {
 TEST(DriverFaultTest, SpuriousRejectsLeaveSgtSeriallyCorrect) {
   FaultPlanParams params;
   params.crashes = 0;
-  params.restart_fails = 0;
-  params.delays = 0;
-  params.duplicates = 0;
-  params.reorders = 0;
   params.snapshots = 0;
   params.injected_aborts = 2;
   params.spurious_rejects = 4;
-  FaultPlan plan = FaultPlan::Generate(13, 400, 1, params);
+  FaultPlan plan = FaultPlan::Generate(13, 400, params);
 
   QuickRunParams p;
   p.config.backend = Backend::kSgt;

@@ -12,9 +12,6 @@
 //     (FingerprintLiveScope over G's retired roots);
 //   * the batch entry point with CertifyOptions::gc_watermark set agrees
 //     with the plain batch build on the full behavior;
-//   * the sharded pipeline with gc_interval retires the same families as a
-//     solo certifier at the same interval (the fault-free schedules are
-//     identical by construction) and lands on the same live fingerprint;
 //   * a GC'd certifier copied mid-stream (parked operations, buffered
 //     scopes and all) and fed the suffix ends exactly where the
 //     uninterrupted run does, GC statistics included.
@@ -37,7 +34,6 @@
 
 #include "sg/certifier.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
 #include "sim/driver.h"
 #include "tx/trace_io.h"
 
@@ -109,8 +105,8 @@ void EveryPrefixDifferential(const SystemType& type, const Trace& beta,
 }
 
 /// Full-behavior checks across the other entry points: the batch API with
-/// gc_watermark, and the sharded pipeline with gc_interval. Returns the
-/// pipeline's retired-family count.
+/// gc_watermark, and a GC'd certifier fed the whole trace at once. Returns
+/// the GC'd certifier's retired-family count.
 size_t WholeTraceLayers(const SystemType& type, const Trace& beta,
                         ConflictMode mode, size_t interval,
                         const std::string& label) {
@@ -131,24 +127,13 @@ size_t WholeTraceLayers(const SystemType& type, const Trace& beta,
   IncrementalCertifier unpruned(type, mode);
   unpruned.IngestTrace(beta);
 
-  ConcurrentIngestConfig config;
-  config.num_shards = 3;
-  config.seed = 42;
-  config.gc_interval = interval;
-  ConcurrentIngestReport pipe =
-      ConcurrentIngestPipeline::Run(type, beta, mode, config);
-  EXPECT_EQ(pipe.ok(), unpruned.verdict().ok()) << label;
-  // Fault-free, the pipeline's watermark and blocked set evolve exactly as
-  // the solo router's, so the retirement schedules must coincide.
-  EXPECT_EQ(pipe.retired_roots, solo.SortedRetiredRoots()) << label;
-  std::unordered_set<TxName> retired(pipe.retired_roots.begin(),
-                                     pipe.retired_roots.end());
-  EXPECT_EQ(pipe.graph_fingerprint, unpruned.FingerprintLiveScope(retired))
+  EXPECT_EQ(solo.verdict().ok(), unpruned.verdict().ok()) << label;
+  EXPECT_EQ(solo.graph_fingerprint(),
+            unpruned.FingerprintLiveScope(solo.retired_roots()))
       << label;
-  EXPECT_EQ(pipe.graph_fingerprint, solo.graph_fingerprint()) << label;
-  EXPECT_EQ(pipe.gc.retired_families, solo.gc_stats().retired_families)
+  EXPECT_EQ(solo.retired_roots().size(), solo.gc_stats().retired_families)
       << label;
-  return pipe.retired_roots.size();
+  return solo.retired_roots().size();
 }
 
 TEST(GcDifferentialTest, GoldenCorpusEveryPrefix) {
@@ -270,7 +255,7 @@ TEST(GcDifferentialTest, FuzzedWorkloadsAcrossLayers) {
                           std::to_string(seed);
       total_retired += WholeTraceLayers(*run.type, run.sim.trace, mode,
                                         1 + (seed * 3) % 24, label);
-      combos += 3;  // batch + incremental + pipeline per workload x mode
+      combos += 3;  // batch, GC-streamed batch, GC'd incremental per combo
     }
   }
   for (uint64_t seed = 1; seed <= 26; ++seed) {

@@ -290,24 +290,5 @@ TEST(IsoDifferentialTest, IncrementalAgreesWithBatchOnFuzzedPrefixes) {
   }
 }
 
-TEST(IsoDifferentialTest, ThreadedBatchMatchesSequential) {
-  // The sharded labeled-relation build must not change any verdict.
-  for (const ExpectedVector& e : kExpected) {
-    BuiltTrace built = BuildAnomalyTrace(e.t);
-    IsoCheckOptions threaded;
-    threaded.num_threads = 3;
-    IsoVerdictVector seq = CheckIsolationLevels(*built.type, built.trace,
-                                                ConflictMode::kReadWrite);
-    IsoVerdictVector par = CheckIsolationLevels(
-        *built.type, built.trace, ConflictMode::kReadWrite, threaded);
-    for (size_t lvl = 0; lvl < kNumIsoLevels; ++lvl) {
-      EXPECT_EQ(seq.levels[lvl].ok, par.levels[lvl].ok)
-          << AnomalyTemplateName(e.t);
-    }
-    EXPECT_EQ(seq.ToString(*built.type), par.ToString(*built.type))
-        << AnomalyTemplateName(e.t);
-  }
-}
-
 }  // namespace
 }  // namespace ntsg

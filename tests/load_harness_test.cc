@@ -1,6 +1,6 @@
 // Tests for the open-loop load harness (src/load): workload generators,
 // cross-certifier verdict agreement, the deterministic timeline contract
-// (byte-identical NDJSON across runs and shard counts), GC progress
+// (byte-identical NDJSON across runs and batch sizes), GC progress
 // surfacing, and the saturation sweep.
 
 #include <gtest/gtest.h>
@@ -95,7 +95,8 @@ TEST(LoadWorkloadsTest, ParseHelpersRejectUnknownNames) {
   EXPECT_TRUE(ParseCertMode("batch", &m));
   EXPECT_EQ(m, CertMode::kBatch);
   EXPECT_TRUE(ParseCertMode("incremental", &m));
-  EXPECT_TRUE(ParseCertMode("sharded", &m));
+  EXPECT_EQ(m, CertMode::kIncremental);
+  EXPECT_FALSE(ParseCertMode("sharded", &m));
   EXPECT_FALSE(ParseCertMode("serial", &m));
 }
 
@@ -112,10 +113,8 @@ TEST(LoadHarnessTest, AllCertifierModesAgreePerWorkload) {
       WorkloadInstance wl = BuildWorkload(params);
 
       std::vector<LoadReport> reports;
-      for (CertMode mode :
-           {CertMode::kBatch, CertMode::kIncremental, CertMode::kSharded}) {
+      for (CertMode mode : {CertMode::kBatch, CertMode::kIncremental}) {
         LoadOptions opt = FastOptions(mode);
-        opt.shards = 3;
         LoadReport report;
         ASSERT_TRUE(RunLoad(wl, opt, &report).ok());
         EXPECT_EQ(report.actions, wl.trace.size());
@@ -138,8 +137,9 @@ TEST(LoadHarnessTest, AllCertifierModesAgreePerWorkload) {
 
 // The determinism contract: with wall-clock fields off, the timeline is a
 // pure function of (workload seed, arrival seed, mode) — byte-identical
-// across runs and across worker-thread counts, GC on.
-TEST(LoadHarnessTest, TimelineBytesIdenticalAcrossRunsAndShardCounts) {
+// across runs and across admission batch sizes (batches flush at every
+// epoch boundary), GC on.
+TEST(LoadHarnessTest, TimelineBytesIdenticalAcrossRunsAndBatchSizes) {
   WorkloadParams params;
   params.workload = Workload::kTpcc;
   params.scale = 12;
@@ -147,9 +147,9 @@ TEST(LoadHarnessTest, TimelineBytesIdenticalAcrossRunsAndShardCounts) {
   params.seed = 5;
   WorkloadInstance wl = BuildWorkload(params);
 
-  auto run = [&](size_t shards, const std::string& path) {
-    LoadOptions opt = FastOptions(CertMode::kSharded);
-    opt.shards = shards;
+  auto run = [&](size_t batch, const std::string& path) {
+    LoadOptions opt = FastOptions(CertMode::kIncremental);
+    opt.batch = batch;
     opt.gc_interval = 128;
     opt.timeline_path = path;
     LoadReport report;
@@ -161,12 +161,12 @@ TEST(LoadHarnessTest, TimelineBytesIdenticalAcrossRunsAndShardCounts) {
   const std::string a = TempPath("tl_a.ndjson");
   const std::string b = TempPath("tl_b.ndjson");
   const std::string c = TempPath("tl_c.ndjson");
-  run(2, a);
-  run(5, b);  // different worker count
-  run(2, c);  // repeat of the first run
+  run(0, a);
+  run(64, b);  // epoch-batched admission
+  run(0, c);   // repeat of the first run
   const std::string bytes_a = ReadFile(a);
   EXPECT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, ReadFile(b)) << "shard count moved the timeline";
+  EXPECT_EQ(bytes_a, ReadFile(b)) << "batch size moved the timeline";
   EXPECT_EQ(bytes_a, ReadFile(c)) << "repeat run moved the timeline";
   EXPECT_EQ(static_cast<size_t>(std::count(bytes_a.begin(), bytes_a.end(),
                                            '\n')),
@@ -181,7 +181,7 @@ TEST(LoadHarnessTest, TimelineBytesIdenticalAcrossRunsAndShardCounts) {
 TEST(LoadHarnessTest, TimelineRenderLinePinsFormat) {
   obs::TimelineEpoch e;
   e.epoch = 2;
-  e.mode = "sharded";
+  e.mode = "incremental";
   e.vtime_start_us = 100;
   e.vtime_end_us = 200;
   e.offered = 40;
@@ -193,7 +193,7 @@ TEST(LoadHarnessTest, TimelineRenderLinePinsFormat) {
   e.gc_watermark = 96;
 
   EXPECT_EQ(obs::TimelineEmitter::RenderLine(e, /*include_wallclock=*/false),
-            "{\"epoch\":2,\"mode\":\"sharded\",\"vtime_start_us\":100,"
+            "{\"epoch\":2,\"mode\":\"incremental\",\"vtime_start_us\":100,"
             "\"vtime_end_us\":200,\"offered\":40,\"admitted_total\":120,"
             "\"ops_total\":30,\"verdict\":\"pending\",\"gc_runs\":1,"
             "\"gc_retired_families\":6,\"gc_watermark\":96}");

@@ -1,7 +1,7 @@
 // The causal-tracing layer (obs/trace.h): ring-buffer flight-recorder
 // semantics, the determinism contract (tracing on vs off must not move a
 // verdict or a graph fingerprint), instrumentation coverage of the online
-// certifier and the faulted pipeline, and exporter output shape.
+// certifier, crashed and restored or not, and exporter output shape.
 
 #include "obs/trace.h"
 
@@ -15,7 +15,7 @@
 
 #include "fault/fault_plan.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
+#include "sim/chaos.h"
 #include "sim/driver.h"
 
 namespace ntsg {
@@ -99,15 +99,14 @@ TEST_F(ObsTraceTest, EnabledEmitRecordsInSeqOrder) {
 TEST_F(ObsTraceTest, RingIsInheritedAcrossSequentialThreads) {
   obs::SetTraceEnabled(true);
   auto emit_one = [] {
-    obs::TraceEmit(TraceEventKind::kOpApplied, 1, 1, 0, 0, 0);
+    obs::TraceEmit(TraceEventKind::kOpActivated, 1, 1, 0, 0, 0);
   };
   std::thread t1(emit_one);
   t1.join();
   std::thread t2(emit_one);
   t2.join();
   // The successor thread inherits the dead thread's ring (history intact),
-  // which is how a restarted shard worker keeps its predecessor's crash
-  // evidence in the flight recorder.
+  // so an exited thread's last events stay in the flight recorder.
   EXPECT_EQ(TraceRecorder::Default().ring_count(), 1u);
   EXPECT_EQ(TraceRecorder::Default().total_events(), 2u);
 }
@@ -178,46 +177,40 @@ TEST_F(ObsTraceTest, CertifierEmitsTheExpectedEventShapes) {
   }
 }
 
-TEST_F(ObsTraceTest, FaultedPipelineInvariantUnderTracingAndEventsPresent) {
+TEST_F(ObsTraceTest, CrashedCertifierInvariantUnderTracingAndEventsPresent) {
   QuickRunResult run = BrokenRun(2);
   ASSERT_TRUE(run.sim.stats.completed);
   FaultPlan plan = FaultPlan::Generate(/*seed=*/1, run.sim.trace.size(),
-                                       /*shards=*/2, FaultPlanParams{});
-  ConcurrentIngestConfig config;
-  config.num_shards = 2;
-  config.seed = 2;
-  config.fault_plan = &plan;
+                                       FaultPlanParams{});
+  auto certify = [&](bool trace) {
+    obs::SetTraceEnabled(trace);
+    TraceRecorder::Default().Clear();
+    FaultStats stats;
+    IncrementalCertifier cert = CertifyWithCrashes(
+        IncrementalCertifier(*run.type, ConflictMode::kCommutativity),
+        run.sim.trace, plan, &stats);
+    obs::SetTraceEnabled(false);
+    EXPECT_GT(stats.crashes, 0u);
+    return cert;
+  };
+  const IncrementalCertifier off = certify(false);
+  const IncrementalCertifier on = certify(true);
 
-  obs::SetTraceEnabled(false);
-  ConcurrentIngestReport off = ConcurrentIngestPipeline::Run(
-      *run.type, run.sim.trace, ConflictMode::kCommutativity, config);
-
-  obs::SetTraceEnabled(true);
-  TraceRecorder::Default().Clear();
-  ConcurrentIngestReport on = ConcurrentIngestPipeline::Run(
-      *run.type, run.sim.trace, ConflictMode::kCommutativity, config);
-  obs::SetTraceEnabled(false);
-
-  EXPECT_EQ(on.ok(), off.ok());
-  EXPECT_EQ(on.graph_fingerprint, off.graph_fingerprint);
-  EXPECT_EQ(on.conflict_edge_count, off.conflict_edge_count);
-  EXPECT_EQ(on.precedes_edge_count, off.precedes_edge_count);
+  EXPECT_EQ(on.verdict().ok(), off.verdict().ok());
+  EXPECT_EQ(on.graph_fingerprint(), off.graph_fingerprint());
+  EXPECT_EQ(on.conflict_edge_count(), off.conflict_edge_count());
+  EXPECT_EQ(on.precedes_edge_count(), off.precedes_edge_count());
 
   std::vector<TraceEvent> events = TraceRecorder::Default().MergedEvents();
-  EXPECT_GT(CountKind(events, TraceEventKind::kOpRouted), 0u);
-  EXPECT_GT(CountKind(events, TraceEventKind::kOpApplied), 0u);
   EXPECT_GT(CountKind(events, TraceEventKind::kEdgeInserted), 0u);
-  if (on.faults.crashes > 0) {
-    EXPECT_GT(CountKind(events, TraceEventKind::kWorkerCrash), 0u);
-    EXPECT_GT(CountKind(events, TraceEventKind::kReplay), 0u);
+  // Every plan event fires exactly one kFaultFired, naming its kind.
+  EXPECT_EQ(CountKind(events, TraceEventKind::kFaultFired), plan.size());
+  for (const TraceEvent& e : events) {
+    if (e.kind == TraceEventKind::kFaultFired) {
+      EXPECT_TRUE(e.b == static_cast<uint32_t>(FaultKind::kCrashWorker) ||
+                  e.b == static_cast<uint32_t>(FaultKind::kSnapshotWorker));
+    }
   }
-  // Every pollable plan event fires exactly one kFaultFired (restart
-  // failures are consumed through TakeRestartFail, not Poll).
-  size_t pollable = 0;
-  for (const FaultEvent& e : plan.events) {
-    if (e.kind != FaultKind::kRestartFail) ++pollable;
-  }
-  EXPECT_EQ(CountKind(events, TraceEventKind::kFaultFired), pollable);
 }
 
 TEST_F(ObsTraceTest, ExportersProduceParseableOutput) {

@@ -186,18 +186,39 @@ TEST_F(SegmentCorruptionTest, ConvertRoundTripsAndVerifies) {
   EXPECT_EQ(RunCli("convert " + path_ + " " + back + " --codec=bogus"), 2);
 }
 
+size_t CountSegments(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("seg-", 0) == 0 && entry.path().extension() == ".ntsgs") {
+      ++n;
+    }
+  }
+  return n;
+}
+
 TEST_F(SegmentCorruptionTest, WalSurvivesAndDropsWithGc) {
+  // A behavior long enough (7.5k actions) to fill more than one 4096-action
+  // WAL segment, so a sealed segment exists for GC to drop.
+  std::string beta = dir_ + "/long.trace";
+  ASSERT_EQ(RunCli("run --quiet --seed 9 --objects 4 --toplevel 48 --save " +
+                   beta),
+            0);
   std::string wal = dir_ + "/wal";
-  EXPECT_EQ(RunCli("certify " + path_ + " --shards 2 --wal " + wal), 0);
+  EXPECT_EQ(RunCli("certify " + beta + " --online --wal " + wal), 0);
   // The WAL directory is itself a readable binary store: the system segment
-  // plus at least one action segment landed on disk.
+  // plus the action segments landed on disk.
   EXPECT_TRUE(fs::exists(wal + "/seg-00000000.ntsgs"));
-  EXPECT_TRUE(fs::exists(wal + "/seg-00000001.ntsgs"));
-  // With GC on, retired families allow sealed segments to be unlinked; the
-  // run must still certify identically.
+  EXPECT_TRUE(fs::exists(wal + "/seg-00000002.ntsgs"));
+  // With GC on, retired families make sealed segments droppable; the run
+  // must still certify, and leave fewer segment files behind.
   std::string wal_gc = dir_ + "/wal_gc";
-  EXPECT_EQ(
-      RunCli("certify " + path_ + " --shards 2 --gc=4 --wal " + wal_gc), 0);
+  EXPECT_EQ(RunCli("certify " + beta + " --online --gc=4 --wal " + wal_gc), 0);
+  EXPECT_TRUE(fs::exists(wal_gc + "/seg-00000000.ntsgs"));
+  EXPECT_LT(CountSegments(wal_gc), CountSegments(wal));
+  // --wal logs what the online certifier ingests; elsewhere it is a usage
+  // error rather than a silently ignored flag.
+  EXPECT_EQ(RunCli("certify " + beta + " --wal " + dir_ + "/wal_batch"), 2);
 }
 
 TEST(SegmentStrictFlagTest, HalfNumericAndOverflowedFlagsExit2) {
@@ -210,7 +231,7 @@ TEST(SegmentStrictFlagTest, HalfNumericAndOverflowedFlagsExit2) {
   EXPECT_EQ(RunCli("run --toplevel ''"), 2);
   EXPECT_EQ(RunCli("run --seed 0x10"), 2);
   EXPECT_EQ(RunCli("run --seed -1"), 2);
-  EXPECT_EQ(RunCli("run --toplevel 2 --shards 2junk"), 2);
+  EXPECT_EQ(RunCli("run --toplevel 2 --objects 2junk"), 2);
   EXPECT_EQ(RunCli("run --toplevel 2 --gc=-1"), 2);
   EXPECT_EQ(RunCli("run --toplevel 2 --gc=0"), 2);
   EXPECT_EQ(RunCli("isolate --mine --runs 3abc"), 2);

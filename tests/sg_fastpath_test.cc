@@ -1,10 +1,9 @@
 // Differential property suite for the SG(β) fast path: the frontier-based
-// ConflictRelation (sequential and sharded), the flattened PrecedesRelation,
-// and the frontier-backed IncrementalCertifier are checked edge for edge
-// against the retained naive reference implementations (sg/reference.h)
-// over 600+ seeded traces in both conflict modes — including every prefix
-// of a trace through the incremental path, an out-of-order deep-reveal
-// construction, and thread-count invariance of the parallel batch build.
+// ConflictRelation, the flattened PrecedesRelation, and the frontier-backed
+// IncrementalCertifier are checked edge for edge against the retained naive
+// reference implementations (sg/reference.h) over 600+ seeded traces in
+// both conflict modes — including every prefix of a trace through the
+// incremental path and an out-of-order deep-reveal construction.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "sg/fingerprint.h"
 #include "sg/incremental_certifier.h"
 #include "sg/reference.h"
-#include "sim/concurrent_ingest.h"
 #include "sim/driver.h"
 
 namespace ntsg {
@@ -35,18 +33,15 @@ QuickRunResult FastpathRun(uint64_t seed, Backend backend,
 }
 
 /// One edge-for-edge comparison of the production relations against the
-/// naive reference on `beta`: sequential, 4-way sharded, and the precedes
-/// relation. Both contracts promise the same deduplicated (parent, from,
-/// to)-sorted vector, so plain vector equality is the whole check.
+/// naive reference on `beta`: conflict and precedes. Both contracts promise
+/// the same deduplicated (parent, from, to)-sorted vector, so plain vector
+/// equality is the whole check.
 void ExpectBatchParity(const SystemType& type, const Trace& beta,
                        ConflictMode mode, uint64_t seed) {
   Trace serial = SerialPart(beta);
   std::vector<SiblingEdge> naive = NaiveConflictRelation(type, serial, mode);
   std::vector<SiblingEdge> fast = ConflictRelation(type, serial, mode);
-  std::vector<SiblingEdge> sharded =
-      ConflictRelation(type, serial, mode, /*num_threads=*/4);
   ASSERT_EQ(fast, naive) << "conflict relation diverged, seed " << seed;
-  ASSERT_EQ(sharded, naive) << "sharded conflict diverged, seed " << seed;
   ASSERT_EQ(PrecedesRelation(type, serial), NaivePrecedesRelation(type, serial))
       << "precedes relation diverged, seed " << seed;
 }
@@ -78,25 +73,6 @@ TEST(SgFastpathTest, BatchMatchesNaiveReferenceAcrossSeedsAndModes) {
     ++combos;
   }
   EXPECT_GE(combos, 600u);
-}
-
-// The documented ordering guarantee, stressed directly: the returned vector
-// must be byte-identical for every thread count, not merely set-equal.
-TEST(SgFastpathTest, ParallelBuildIsThreadCountInvariant) {
-  for (uint64_t seed = 5; seed <= 20; ++seed) {
-    QuickRunResult run =
-        FastpathRun(seed, Backend::kMoss, ObjectType::kReadWrite);
-    ASSERT_TRUE(run.sim.stats.completed);
-    Trace serial = SerialPart(run.sim.trace);
-    for (ConflictMode mode :
-         {ConflictMode::kReadWrite, ConflictMode::kCommutativity}) {
-      std::vector<SiblingEdge> one = ConflictRelation(*run.type, serial, mode);
-      for (size_t threads : {2, 3, 8}) {
-        ASSERT_EQ(ConflictRelation(*run.type, serial, mode, threads), one)
-            << "threads=" << threads << " seed " << seed;
-      }
-    }
-  }
 }
 
 /// Ingests `beta` action by action; after every prefix the incremental
@@ -183,31 +159,6 @@ TEST(SgFastpathTest, OutOfOrderDeepRevealMatchesNaive) {
       ConflictRelation(type, SerialPart(beta), ConflictMode::kReadWrite);
   ASSERT_EQ(conflict.size(), 1u);
   EXPECT_EQ(conflict[0], (SiblingEdge{kT0, a, b}));
-}
-
-// End to end through the sharded pipeline: the final fingerprint over the
-// striped flat edge sets must equal a fingerprint computed from the naive
-// reference relations.
-TEST(SgFastpathTest, PipelineFingerprintMatchesNaive) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    QuickRunResult run =
-        FastpathRun(seed, Backend::kMoss, ObjectType::kReadWrite);
-    ASSERT_TRUE(run.sim.stats.completed);
-    Trace serial = SerialPart(run.sim.trace);
-    for (ConflictMode mode :
-         {ConflictMode::kReadWrite, ConflictMode::kCommutativity}) {
-      ConcurrentIngestConfig config;
-      config.num_shards = 3;
-      config.seed = seed;
-      ConcurrentIngestReport report = ConcurrentIngestPipeline::Run(
-          *run.type, run.sim.trace, mode, config);
-      uint64_t naive_fp = FingerprintSerializationGraph(
-          NaiveConflictRelation(*run.type, serial, mode),
-          NaivePrecedesRelation(*run.type, serial));
-      EXPECT_EQ(report.graph_fingerprint, naive_fp)
-          << "pipeline fingerprint diverged, seed " << seed;
-    }
-  }
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 # and BENCH_sg_fastpath.json, the T10 SG-construction fast-path baseline.
 #
 # Phase 1 runs the overhead-contract benches (T6 online certification, T7
-# fault hooks, T8 metrics, T9 tracing) instrumented — NTSG_BENCH_METRICS_DIR
+# crash recovery, T8 metrics, T9 tracing) instrumented — NTSG_BENCH_METRICS_DIR
 # set, so each binary also drops a .prom snapshot — and merges the Google
 # Benchmark JSON outputs into one document keyed by bench name. Phase 2 runs
-# the BM_SgBatch{Naive,Fast,Parallel} rows of bench_sg_construction with
+# the BM_SgBatch{Naive,Fast} rows of bench_sg_construction with
 # repetitions so the document carries median aggregates; that file is what
 # tools/check_bench_regression.py gates the nightly CI job against.
 #

@@ -2,8 +2,8 @@
 # Regenerates BENCH_batch.json, the T15 batched-admission perf baseline:
 # the admission-layer rows (BM_Admit*: per-edge Pearce-Kelly vs one
 # AddEdgesBatch recompute per batch, under ordered and shuffled edge
-# arrival) and the end-to-end certifier/pipeline rows (BM_Ingest*,
-# BM_PipelineBatch). tools/check_bench_regression.py gates the nightly CI
+# arrival) and the end-to-end certifier rows (BM_Ingest*).
+# tools/check_bench_regression.py gates the nightly CI
 # job against it with
 #
 #   tools/check_bench_regression.py BENCH_batch.json candidate.json \

@@ -22,7 +22,7 @@
 // is written there as iso_<template>.verdict.txt for byte-exact comparison.
 //
 // The corpus pins today's verdicts as goldens: corpus_test replays every
-// entry through the batch, incremental, and sharded certifiers and fails on
+// entry through the batch and incremental certifiers and fails on
 // any drift. Regenerate (and review the diff!) only when an intentional
 // semantic change moves a golden.
 

@@ -6,18 +6,17 @@
 //   ntsg certify <trace-file>     certify a saved behavior (Theorem 8/19);
 //                                 --online streams it through the
 //                                 incremental certifier and reports the
-//                                 first rejected action, --shards N runs
-//                                 the concurrent ingest pipeline
+//                                 first rejected action
 //   ntsg sweep [options]          run many seeds, print aggregate stats
 //   ntsg chaos [options]          run a seeded workload under a seeded fault
-//                                 plan (worker crashes, delivery delay /
-//                                 reorder / duplication, controller aborts)
-//                                 and check the faulted verdict and graph
-//                                 fingerprint against the fault-free run
-//   ntsg stats [options]          run one simulation plus the online and
-//                                 concurrent certifiers with metrics
-//                                 enabled, and dump the metric snapshot
-//                                 (stdout, or --metrics-out FILE)
+//                                 plan (controller aborts, then certifier
+//                                 crashes restored from snapshots) and check
+//                                 the faulted verdict and graph fingerprint
+//                                 against the fault-free certifier's
+//   ntsg stats [options]          run one simulation plus the batch and
+//                                 online certifiers with metrics enabled,
+//                                 and dump the metric snapshot (stdout, or
+//                                 --metrics-out FILE)
 //   ntsg explain <trace-file>     certify a saved behavior and, on rejection,
 //                                 print the witness cycle with each edge
 //                                 labeled conflict/precedes and the inducing
@@ -39,14 +38,15 @@
 //                                 --rate actions per virtual second
 //                                 (--arrival poisson | fixed), and drive the
 //                                 chosen certifier (--certifier batch |
-//                                 incremental | sharded | all; "all" demands
-//                                 verdict agreement). Reports admission-
-//                                 latency quantiles (p50/p95/p99/p999);
+//                                 incremental | all; "all" demands verdict
+//                                 agreement). Reports admission-latency
+//                                 quantiles (p50/p95/p99/p999);
 //                                 --timeline-out FILE streams a per-epoch
 //                                 NDJSON timeline (--epochs windows;
 //                                 deterministic core fields only, unless
-//                                 --timeline-wallclock adds quantiles, queue
-//                                 depths, and a metrics snapshot); --sweep
+//                                 --timeline-wallclock adds quantiles, the
+//                                 admission buffer depth, and a metrics
+//                                 snapshot); --sweep
 //                                 steps the offered rate until the latency
 //                                 knees and reports saturation throughput
 //   ntsg isolate <trace-file>     check a saved behavior against the whole
@@ -89,8 +89,8 @@
 //   --online          certify only: stream through IncrementalCertifier
 //   --gc[=N]          certify only: commit-watermark GC every N actions
 //                     (bare --gc uses N=1024). Applies to the batch path
-//                     (which then streams with bounded memory), --online,
-//                     and --shards; prints families/nodes retired and ops
+//                     (which then streams with bounded memory) and
+//                     --online; prints families/nodes retired and ops
 //                     pruned. Metrics land in the ntsg_gc_* families.
 //   --batch[=N]       certify --online / stats / load: epoch-batched
 //                     admission — stage up to N actions' edges and commit
@@ -101,26 +101,24 @@
 //                     rejected batch is replayed per-edge to recover the
 //                     exact first-rejecting action. Batches never span a GC
 //                     barrier. Metrics land in the ntsg_batch_* families.
-//   --shards N        certify/stats: parallelize the batch SG build across N
-//                     workers and also run the concurrent pipeline;
-//                     chaos: pipeline width                    [0 / chaos: 4]
 //   --fault-seed S    chaos only: fault-plan seed                       [1]
 //   --save FILE       run / chaos: save the behavior (format per --format)
 //   --format NAME     text | binary: trace file format for --save and
 //                     convert; readers sniff the format, but an explicit
 //                     --format forces that reader            [text / sniffed]
 //   --codec NAME      raw | rle: per-segment codec for binary writes   [raw]
-//   --wal DIR         certify/chaos with --shards: write-ahead-log every
-//                     routed action into a segment directory (TraceStore)
-//                     and report the recovery replay
+//   --wal DIR         certify --online / chaos: append every action to a
+//                     segment directory (TraceStore) before the certifier
+//                     ingests it, seal it at the end, and (with --gc) drop
+//                     sealed segments whose families GC retired
 //   --dot FILE        run only: dump the serialization graph (Graphviz)
 //   --metrics-out F   enable metrics and write a snapshot to F after the
 //                     command (Prometheus text; *.json selects JSON)
 //   --trace-out F     enable causal tracing and write the event stream to F
 //                     after the command (*.json Chrome trace, else NDJSON)
-//   --flight-recorder N  enable tracing with per-thread rings of N events;
-//                     on a nonzero exit or an injected crash, dump the last
-//                     N events per thread to stderr
+//   --flight-recorder N  enable tracing with rings of N events; on a
+//                     nonzero exit or an injected crash, dump the last N
+//                     events to stderr
 //   --quiet           suppress the per-event trace dump
 //
 // Load-harness options (ntsg load; --objects is the workload scale,
@@ -129,25 +127,28 @@
 //   --rate R          offered rate, actions per virtual second     [50000]
 //   --arrival NAME    poisson | fixed inter-arrival times          [poisson]
 //   --epochs N        timeline epochs over the schedule span       [10]
-//   --certifier NAME  batch | incremental | sharded | all          [incremental]
+//   --certifier NAME  batch | incremental | all                    [incremental]
 //   --timeline-out F  stream the per-epoch NDJSON timeline to F
 //                     (with --certifier all: F.<mode> per mode)
-//   --timeline-wallclock  add latency quantiles, queue depth, and a metrics
+//   --timeline-wallclock  add latency quantiles, buffer depth, and a metrics
 //                     snapshot to each timeline record (wall-clock fields —
 //                     byte-determinism holds only without them)
 //   --no-pace         admit back-to-back instead of pacing arrivals to the
 //                     wall clock (virtual-time bookkeeping is unchanged)
-//   --batch[=N]       epoch-batched admission in the incremental / sharded
-//                     sinks (see common options above)
+//   --batch[=N]       epoch-batched admission in the incremental sink (see
+//                     common options above)
 //   --sweep           saturation sweep: double the rate until p99 knees
 //   --sweep-steps N   sweep rate steps                             [6]
 //   --knee-us X       sweep p99 knee threshold in microseconds     [5000]
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -155,6 +156,7 @@
 #include "common/strict_parse.h"
 #include "load/load_gen.h"
 #include "load/workloads.h"
+#include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "iso/checker.h"
 #include "iso/incremental_iso.h"
@@ -168,7 +170,7 @@
 #include "sg/fast_graph.h"
 #include "sg/graph.h"
 #include "sg/incremental_certifier.h"
-#include "sim/concurrent_ingest.h"
+#include "sim/chaos.h"
 #include "sim/driver.h"
 #include "sim/trace_stats.h"
 #include "tx/segment/segment_reader.h"
@@ -193,7 +195,6 @@ struct CliOptions {
   std::string trace_file;  // audit / certify / convert-input operand.
   std::string out_file;    // convert output operand.
   bool online = false;
-  size_t shards = 0;
   size_t gc_interval = 0;
   size_t batch = 0;  // --batch[=N]: epoch-batched admission (0/1 = per-event)
   Backend backend = Backend::kMoss;
@@ -223,7 +224,7 @@ struct CliOptions {
   TraceFormat format = TraceFormat::kText;
   bool format_set = false;  // explicit --format (forces reader + writer)
   seg::Codec codec = seg::Codec::kRaw;
-  std::string wal_dir;      // certify/chaos --shards: segment WAL directory
+  std::string wal_dir;      // certify --online / chaos: segment WAL directory
 
   // load command.
   load::Workload workload = load::Workload::kBank;
@@ -246,7 +247,7 @@ struct CliOptions {
 // the names (not a pointer to the type, which is command-local).
 obs::TraceNameFn g_trace_names;
 
-// Set by chaos when the fault plan actually crashed a worker; with
+// Set by chaos when the fault plan actually crashed the certifier; with
 // --flight-recorder the dump then fires even though the run matched.
 bool g_injected_crash = false;
 
@@ -464,9 +465,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
         std::cerr << "--batch requires a positive size\n";
         return false;
       }
-    } else if (a == "--shards") {
-      if (!(v = need(a.c_str()))) return false;
-      if (!ParseCountFlag("--shards", v, &opt->shards)) return false;
     } else if (a == "--save") {
       if (!(v = need(a.c_str()))) return false;
       opt->save_file = v;
@@ -585,8 +583,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
       if (name == "all") {
         opt->cert_all = true;
       } else if (!load::ParseCertMode(name, &opt->cert_mode)) {
-        std::cerr << "--certifier must be batch, incremental, sharded, or "
-                     "all\n";
+        std::cerr << "--certifier must be batch, incremental, or all\n";
         return false;
       }
     } else if (a == "--sweep") {
@@ -769,6 +766,55 @@ int CmdAudit(const CliOptions& opt) {
   return Audit(opt, type, beta, orders);
 }
 
+// The segment write-ahead log of an online certifier (--wal DIR): each
+// action is appended before the certifier ingests it, so a crash loses at
+// most the unsealed tail, and sealed segments whose families the GC has
+// retired are unlinked. The first disk failure latches status() and stops
+// the log; the verdict never waits on the disk.
+class Wal {
+ public:
+  Wal(const std::string& dir, const SystemType& type) {
+    status_ = seg::TraceStore::Create(dir, &type, {}, {}, &store_);
+  }
+
+  void Append(const Action& a) {
+    if (status_.ok()) status_ = store_->Append(a);
+    if (status_.ok()) ++appended_;
+  }
+
+  // Unlinks every sealed segment whose families `cert` has all retired.
+  void DropRetired(const IncrementalCertifier& cert) {
+    if (!status_.ok()) return;
+    size_t n = 0;
+    status_ = store_->DropRetiredSegments(
+        [&cert](TxName root) { return cert.retired_roots().count(root) > 0; },
+        &n);
+    dropped_ += n;
+  }
+
+  // Seals the tail so the directory ends at a durable boundary.
+  void Seal() {
+    if (status_.ok()) status_ = store_->SealActive();
+  }
+
+  const Status& status() const { return status_; }
+
+  std::string Summary() const {
+    std::ostringstream out;
+    out << appended_ << " actions logged, "
+        << (store_ != nullptr ? store_->num_sealed_segments() : 0)
+        << " segments sealed, " << dropped_ << " dropped by gc ("
+        << status_.ToString() << ")";
+    return out.str();
+  }
+
+ private:
+  std::unique_ptr<seg::TraceStore> store_;
+  Status status_;
+  uint64_t appended_ = 0;
+  uint64_t dropped_ = 0;
+};
+
 int CmdCertify(const CliOptions& opt) {
   SystemType type;
   Trace beta;
@@ -783,9 +829,10 @@ int CmdCertify(const CliOptions& opt) {
   std::cout << "loaded " << opt.trace_file << " (" << beta.size()
             << " events)\n";
 
-  CertifierReport batch = CertifySeriallyCorrect(
-      type, beta, mode,
-      CertifyOptions{opt.shards > 0 ? opt.shards : 1, opt.gc_interval});
+  CertifyOptions batch_options;
+  batch_options.gc_watermark = opt.gc_interval;
+  CertifierReport batch =
+      CertifySeriallyCorrect(type, beta, mode, batch_options);
   std::cout << "batch:       " << batch.status.ToString() << "\n";
 
   bool agree = true;
@@ -793,10 +840,26 @@ int CmdCertify(const CliOptions& opt) {
     GcOptions gc;
     gc.interval = opt.gc_interval;
     IncrementalCertifier cert(type, mode, gc);
-    if (opt.batch > 1) {
-      cert.IngestTraceBatched(beta, opt.batch);
-    } else {
-      cert.IngestTrace(beta);
+    std::unique_ptr<Wal> wal;
+    if (!opt.wal_dir.empty()) wal = std::make_unique<Wal>(opt.wal_dir, type);
+    // Each chunk is logged before the certifier ingests it (one IngestBatch
+    // per chunk under --batch); a GC pass inside it may free WAL segments.
+    const size_t step = std::max<size_t>(opt.batch, 1);
+    for (size_t i = 0; i < beta.size(); i += step) {
+      const std::span<const Action> chunk(beta.data() + i,
+                                          std::min(step, beta.size() - i));
+      if (wal != nullptr) {
+        for (const Action& a : chunk) wal->Append(a);
+      }
+      const uint64_t retired = cert.gc_stats().retired_families;
+      if (opt.batch > 1) {
+        cert.IngestBatch(chunk);
+      } else {
+        cert.Ingest(chunk.front());
+      }
+      if (wal != nullptr && cert.gc_stats().retired_families != retired) {
+        wal->DropRetired(cert);
+      }
     }
     IncrementalVerdict v = cert.verdict();
     std::cout << "incremental: "
@@ -828,33 +891,12 @@ int CmdCertify(const CliOptions& opt) {
       }
       std::cout << "\n";
     }
+    if (wal != nullptr) {
+      wal->Seal();
+      std::cout << "wal:         " << wal->Summary() << "\n";
+      agree = agree && wal->status().ok();
+    }
     agree = agree && v.ok() == batch.status.ok();
-  }
-  if (opt.shards > 0) {
-    ConcurrentIngestConfig config;
-    config.num_shards = opt.shards;
-    config.seed = opt.seed;
-    config.gc_interval = opt.gc_interval;
-    config.batch_max = opt.batch;
-    config.wal_dir = opt.wal_dir;
-    ConcurrentIngestReport report =
-        ConcurrentIngestPipeline::Run(type, beta, mode, config);
-    std::cout << "concurrent:  " << (report.ok() ? "ok" : "REJECTED") << " ("
-              << opt.shards << " shards, " << report.ops_routed
-              << " ops routed)\n";
-    if (opt.gc_interval > 0) {
-      std::cout << "gc:          " << report.gc.retired_families
-                << " families retired, " << report.gc.pruned_ops
-                << " ops pruned in " << report.gc.runs << " passes\n";
-    }
-    if (!opt.wal_dir.empty()) {
-      std::cout << "wal:         " << report.wal_appended
-                << " actions logged, " << report.wal_segments_sealed
-                << " segments sealed, " << report.wal_segments_dropped
-                << " dropped by gc (" << report.wal_status.ToString() << ")\n";
-      agree = agree && report.wal_status.ok();
-    }
-    agree = agree && report.ok() == batch.status.ok();
   }
   if (!agree) {
     std::cout << "DISAGREEMENT between certifiers\n";
@@ -863,89 +905,82 @@ int CmdCertify(const CliOptions& opt) {
   return batch.status.ok() ? kExitOk : kExitCertificationFailed;
 }
 
-// Runs the workload twice over the same seed — once fault-free, once under a
-// seeded fault plan both in the driver (controller aborts, spurious
-// rejections) and in the ingest pipeline (crashes, delivery faults) — and
-// demands the certifier's verdict and graph fingerprint be identical for the
-// pipeline layer, and the driver layer's behavior still certify.
+// Runs the workload under a seeded fault plan in two layers and checks that
+// neither moves the verdict. The driver layer injects controller aborts
+// (plus spurious admission rejections under SGT); its behavior is certified
+// as is. The certifier layer then streams that behavior twice: once clean,
+// once crashing and restoring from snapshots (CertifyWithCrashes). The
+// faulted run must end on the clean run's verdict, edge counts and graph
+// fingerprint.
 int CmdChaos(const CliOptions& opt) {
-  size_t shards = opt.shards > 0 ? opt.shards : 4;
-
-  // Driver-layer plan: deterministic controller aborts (plus spurious
-  // admission rejections when the SGT backend is active).
   FaultPlanParams driver_params;
   driver_params.crashes = 0;
-  driver_params.restart_fails = 0;
-  driver_params.delays = 0;
-  driver_params.duplicates = 0;
-  driver_params.reorders = 0;
   driver_params.snapshots = 0;
   driver_params.injected_aborts = 3;
   driver_params.spurious_rejects = opt.backend == Backend::kSgt ? 3 : 0;
   // Early horizon so the scheduled aborts land while work is still live.
   FaultPlan driver_plan =
-      FaultPlan::Generate(opt.fault_seed, /*horizon=*/1'000, 1, driver_params);
+      FaultPlan::Generate(opt.fault_seed, /*horizon=*/1'000, driver_params);
 
   RunOutput out = RunOnce(opt, opt.seed, &driver_plan);
   SetTraceNames(*out.type);
   const SimStats& s = out.sim.stats;
+  const Trace& beta = out.sim.trace;
   std::cout << "backend=" << BackendName(opt.backend) << " seed=" << opt.seed
-            << " fault-seed=" << opt.fault_seed
-            << " events=" << out.sim.trace.size()
+            << " fault-seed=" << opt.fault_seed << " events=" << beta.size()
             << " completed=" << (s.completed ? "yes" : "NO")
             << "\ndriver faults: plan_aborts=" << s.plan_aborts_injected
             << " spurious_rejects=" << s.spurious_rejects_injected << "\n";
 
   ConflictMode mode = ModeFor(*out.type);
-  CertifierReport batch = CertifySeriallyCorrect(*out.type, out.sim.trace, mode);
+  CertifierReport batch = CertifySeriallyCorrect(*out.type, beta, mode);
   std::cout << "faulted behavior certifies: " << batch.status.ToString()
             << "\n";
 
   if (!opt.save_file.empty()) {
-    Status save_st = WriteTraceAnyFormat(opt, opt.save_file, *out.type,
-                                         out.sim.trace, out.mvto_orders);
+    Status save_st = WriteTraceAnyFormat(opt, opt.save_file, *out.type, beta,
+                                         out.mvto_orders);
     std::cout << "save: " << save_st.ToString() << "\n";
   }
 
-  // Pipeline-layer plan: crashes, restart failures, delivery delay /
-  // reorder / duplication, snapshots — over the trace as delivered.
-  FaultPlan pipe_plan = FaultPlan::Generate(
-      opt.fault_seed, out.sim.trace.size(), shards, FaultPlanParams{});
-  if (!opt.quiet) std::cout << "fault plan:\n" << pipe_plan.ToString();
+  // Certifier-layer plan: crashes and snapshots over the trace positions.
+  FaultPlan cert_plan =
+      FaultPlan::Generate(opt.fault_seed, beta.size(), FaultPlanParams{});
+  if (!opt.quiet) std::cout << "fault plan:\n" << cert_plan.ToString();
 
-  ConcurrentIngestConfig base_config;
-  base_config.num_shards = shards;
-  base_config.seed = opt.seed;
-  ConcurrentIngestReport clean =
-      ConcurrentIngestPipeline::Run(*out.type, out.sim.trace, mode,
-                                    base_config);
+  IncrementalCertifier clean(*out.type, mode);
+  clean.IngestTrace(beta);
 
-  ConcurrentIngestConfig chaos_config = base_config;
-  chaos_config.fault_plan = &pipe_plan;
-  // The WAL rides the *chaotic* run: appends happen router-side, so worker
-  // crashes and delivery faults must not cost logged actions.
-  chaos_config.wal_dir = opt.wal_dir;
-  ConcurrentIngestReport chaotic = ConcurrentIngestPipeline::Run(
-      *out.type, out.sim.trace, mode, chaos_config);
-
-  if (chaotic.faults.crashes > 0) g_injected_crash = true;
-  std::cout << "fault log: " << chaotic.faults.ToString() << "\n";
+  // A crash loses the certifier, not the log: the WAL holds the behavior
+  // before the faulted run starts.
+  std::unique_ptr<Wal> wal;
   if (!opt.wal_dir.empty()) {
-    std::cout << "wal: " << chaotic.wal_appended << " actions logged, "
-              << chaotic.wal_segments_sealed << " segments sealed ("
-              << chaotic.wal_status.ToString() << ")\n";
-    if (!chaotic.wal_status.ok()) return kExitMismatch;
+    wal = std::make_unique<Wal>(opt.wal_dir, *out.type);
+    for (const Action& a : beta) wal->Append(a);
   }
-  std::cout << "clean:   " << (clean.ok() ? "ok" : "REJECTED")
-            << " fingerprint=" << std::hex << clean.graph_fingerprint
-            << std::dec << "\nchaotic: " << (chaotic.ok() ? "ok" : "REJECTED")
-            << " fingerprint=" << std::hex << chaotic.graph_fingerprint
+  FaultStats stats;
+  IncrementalCertifier cert = CertifyWithCrashes(
+      IncrementalCertifier(*out.type, mode), beta, cert_plan, &stats);
+  PublishFaultStats(stats);
+
+  if (stats.crashes > 0) g_injected_crash = true;
+  std::cout << "fault log: " << stats.ToString() << "\n";
+  if (wal != nullptr) {
+    wal->Seal();
+    std::cout << "wal: " << wal->Summary() << "\n";
+    if (!wal->status().ok()) return kExitMismatch;
+  }
+  std::cout << "clean:   " << (clean.verdict().ok() ? "ok" : "REJECTED")
+            << " fingerprint=" << std::hex << clean.graph_fingerprint()
+            << std::dec
+            << "\nchaotic: " << (cert.verdict().ok() ? "ok" : "REJECTED")
+            << " fingerprint=" << std::hex << cert.graph_fingerprint()
             << std::dec << "\n";
 
-  bool match = clean.ok() == chaotic.ok() &&
-               clean.graph_fingerprint == chaotic.graph_fingerprint &&
-               clean.conflict_edge_count == chaotic.conflict_edge_count &&
-               clean.precedes_edge_count == chaotic.precedes_edge_count;
+  bool match = clean.verdict().ok() == cert.verdict().ok() &&
+               clean.graph_fingerprint() == cert.graph_fingerprint() &&
+               clean.conflict_edge_count() == cert.conflict_edge_count() &&
+               clean.precedes_edge_count() == cert.precedes_edge_count();
   std::cout << (match ? "MATCH: faults did not move the verdict or the graph"
                       : "MISMATCH between clean and chaotic runs")
             << "\n";
@@ -983,35 +1018,24 @@ int CmdSweep(const CliOptions& opt) {
              : kExitCertificationFailed;
 }
 
-// Runs one simulated workload through every certification layer (batch,
-// online, concurrent) with metrics enabled, then dumps the snapshot —
-// stdout by default, --metrics-out FILE otherwise. Exists so a scrape of
-// every metric family is one command away.
+// Runs one simulated workload through both certification layers (batch and
+// online) with metrics enabled, then dumps the snapshot — stdout by
+// default, --metrics-out FILE otherwise. Exists so a scrape of every metric
+// family is one command away.
 int CmdStats(const CliOptions& opt) {
   RunOutput out = RunOnce(opt, opt.seed);
   ConflictMode mode = ModeFor(*out.type);
 
   CertifierReport batch =
-      CertifySeriallyCorrect(*out.type, out.sim.trace, mode,
-                             CertifyOptions{opt.shards > 0 ? opt.shards : 1});
+      CertifySeriallyCorrect(*out.type, out.sim.trace, mode);
   IncrementalCertifier cert(*out.type, mode);
-  if (opt.batch > 1) {
-    cert.IngestTraceBatched(out.sim.trace, opt.batch);
-  } else {
-    cert.IngestTrace(out.sim.trace);
-  }
-  ConcurrentIngestConfig config;
-  config.num_shards = opt.shards > 0 ? opt.shards : 4;
-  config.seed = opt.seed;
-  config.batch_max = opt.batch;
-  ConcurrentIngestReport pipe =
-      ConcurrentIngestPipeline::Run(*out.type, out.sim.trace, mode, config);
+  cert.IngestTraceBatched(out.sim.trace, opt.batch);
 
   std::cout << "backend=" << BackendName(opt.backend) << " seed=" << opt.seed
             << " events=" << out.sim.trace.size()
             << " batch=" << (batch.status.ok() ? "ok" : "rejected")
             << " online=" << (cert.verdict().ok() ? "ok" : "rejected")
-            << " concurrent=" << (pipe.ok() ? "ok" : "rejected") << "\n";
+            << "\n";
 
   if (opt.metrics_out.empty()) {
     std::cout << obs::MetricsRegistry::Default().QuantileText()
@@ -1031,8 +1055,8 @@ int CmdStats(const CliOptions& opt) {
 // actions at the offered rate, and drives the chosen certifier mode(s),
 // reporting admission-latency quantiles, the per-epoch timeline, and (with
 // --sweep) the saturation throughput. With --certifier all, every generated
-// workload must certify with the same verdict across batch / incremental /
-// sharded — disagreement exits 3 like certify's cross-checks.
+// workload must certify with the same verdict under batch and incremental —
+// disagreement exits 3 like certify's cross-checks.
 int CmdLoad(const CliOptions& opt) {
   if (opt.objects < 2) {
     std::cerr << "load requires --objects >= 2 (the workload scale)\n";
@@ -1052,8 +1076,7 @@ int CmdLoad(const CliOptions& opt) {
 
   std::vector<load::CertMode> modes;
   if (opt.cert_all) {
-    modes = {load::CertMode::kBatch, load::CertMode::kIncremental,
-             load::CertMode::kSharded};
+    modes = {load::CertMode::kBatch, load::CertMode::kIncremental};
   } else {
     modes = {opt.cert_mode};
   }
@@ -1065,7 +1088,6 @@ int CmdLoad(const CliOptions& opt) {
     lo.arrival_seed = opt.seed;  // one schedule shared by every mode
     lo.epochs = opt.epochs;
     lo.mode = mode;
-    lo.shards = opt.shards > 0 ? opt.shards : 4;
     lo.gc_interval = opt.gc_interval;
     lo.batch = opt.batch;
     lo.pace = !opt.no_pace;
@@ -1208,7 +1230,6 @@ int CmdIsolate(const CliOptions& opt) {
     MinerOptions mopt;
     mopt.seed = opt.seed;
     mopt.runs = opt.runs;
-    mopt.num_threads = opt.shards > 0 ? opt.shards : 1;
     MinerReport report = MineAnomalies(mopt);
     std::cout << "mined " << report.runs << " runs: " << report.hits.size()
               << " hit(s), " << report.gap_hits()
@@ -1264,14 +1285,12 @@ int CmdIsolate(const CliOptions& opt) {
   SetTraceNames(type);
   std::cout << "loaded " << opt.trace_file << " (" << beta.size()
             << " events)\n";
-  IsoCheckOptions check;
-  check.num_threads = opt.shards > 0 ? opt.shards : 1;
-  IsoVerdictVector vv = CheckIsolationLevels(type, beta, mode, check);
+  IsoVerdictVector vv = CheckIsolationLevels(type, beta, mode);
   std::cout << vv.ToString(type);
   if (opt.online) {
     IncrementalIsoChecker inc(type, mode);
     inc.IngestTrace(beta);
-    IsoVerdictVector online = inc.Verdict(check);
+    IsoVerdictVector online = inc.Verdict();
     bool agree = true;
     for (size_t i = 0; i < kNumIsoLevels; ++i) {
       agree = agree && online.levels[i].ok == vv.levels[i].ok;
@@ -1364,6 +1383,11 @@ int main(int argc, char** argv) {
     std::cerr << "trace requires --trace-out FILE\n";
     return ntsg::kExitUsage;
   }
+  if (!opt.wal_dir.empty() && opt.command != "chaos" &&
+      !(opt.command == "certify" && opt.online)) {
+    std::cerr << "--wal applies to certify --online and chaos only\n";
+    return ntsg::kExitUsage;
+  }
   if (opt.command == "isolate") {
     if (!opt.mine && opt.trace_file.empty()) {
       std::cerr << "isolate requires a trace file (or --mine)\n";
@@ -1391,7 +1415,7 @@ int main(int argc, char** argv) {
   if (!opt.metrics_out.empty() || opt.command == "stats") {
     // Enable before any work so every instrument in the command records,
     // and register eagerly so the snapshot covers every family (certifier,
-    // ingest, fault recovery) even when a layer saw no traffic.
+    // GC, fault recovery) even when a layer saw no traffic.
     ntsg::obs::SetMetricsEnabled(true);
     ntsg::obs::RegisterAllMetricFamilies();
   }
