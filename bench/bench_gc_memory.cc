@@ -6,7 +6,7 @@
 // on. The counters record the live-graph residue at the end of the stream —
 // the memory story — and the timing ratio is the overhead story: the
 // nightly gate requires NoGc/Gc >= 0.9 (collection costs at most ~10%
-// steady-state throughput; see tools/bench_gc_soak.sh and
+// steady-state throughput; see tools/bench_snapshot.sh and
 // tools/check_bench_regression.py).
 
 #include <benchmark/benchmark.h>

@@ -7,6 +7,12 @@
 //     discovered edge, per-object replay for return values;
 //   * IncrementalFinal vs BatchFinal — one full pass each, isolating the
 //     per-action overhead from the prefix blowup.
+//
+// IngestPerEvent and IngestPerEventGc time the online certifier end to end
+// on the T10 synthetic batch workload (10k ops, 64 objects, Zipf(1.10)
+// object popularity), GC off and with commit-watermark GC every 1024
+// actions (T11: GC-on is the fast regime). tools/bench_snapshot.sh
+// snapshots the pair into BENCH_ingest.json.
 
 #include <benchmark/benchmark.h>
 
@@ -69,6 +75,38 @@ BENCHMARK(BM_IncrementalStream)->Arg(8)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BatchFinalOnly)->Arg(8)->Arg(32)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
+
+constexpr int kZipfHundredths = 110;  // Zipf(1.10), the T10 skewed workload
+
+void BM_IngestPerEvent(benchmark::State& state) {
+  const bench::SyntheticBatch& batch = bench::CachedBatch(kZipfHundredths);
+  for (auto _ : state) {
+    IncrementalCertifier cert(*batch.type, ConflictMode::kReadWrite);
+    cert.IngestTrace(batch.trace);
+    benchmark::DoNotOptimize(cert.verdict());
+  }
+  state.counters["events"] = static_cast<double>(batch.trace.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(batch.trace.size()));
+}
+BENCHMARK(BM_IngestPerEvent);
+
+// The GC-on twin of IngestPerEvent. GC is a huge win on this workload:
+// retirement prunes the hot object's otherwise-quadratic frontier.
+void BM_IngestPerEventGc(benchmark::State& state) {
+  const bench::SyntheticBatch& batch = bench::CachedBatch(kZipfHundredths);
+  GcOptions gc;
+  gc.interval = 1024;
+  for (auto _ : state) {
+    IncrementalCertifier cert(*batch.type, ConflictMode::kReadWrite, gc);
+    cert.IngestTrace(batch.trace);
+    benchmark::DoNotOptimize(cert.verdict());
+  }
+  state.counters["events"] = static_cast<double>(batch.trace.size());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(batch.trace.size()));
+}
+BENCHMARK(BM_IngestPerEventGc);
 
 }  // namespace
 }  // namespace ntsg

@@ -8,7 +8,7 @@
 //      the per-epoch NDJSON timeline is free enough to leave on.
 //
 // Latency quantiles surface as user counters next to the wall-time medians
-// google-benchmark already reports; tools/bench_load.sh folds both into
+// google-benchmark already reports; tools/bench_snapshot.sh folds both into
 // BENCH_load.json.
 
 #include <benchmark/benchmark.h>
@@ -59,10 +59,6 @@ LoadOptions UnpacedOptions(CertMode mode) {
   opt.epochs = 4;
   opt.mode = mode;
   opt.pace = false;  // pure service time: no arrival sleeps in the timing
-  // Epoch-batched admission in the incremental sink (T15) — the deployment
-  // shape the harness models; verdicts are batching-independent, so the
-  // latency rows stay comparable to per-event ones.
-  opt.batch = 256;
   return opt;
 }
 

@@ -72,13 +72,8 @@ class Sink {
 
   virtual ~Sink() = default;
   virtual void Admit(const Action& a) = 0;
-  /// Called when a timeline epoch closes, before EpochVerdict/EpochGc are
-  /// read: a batching sink flushes its buffer here so epoch records keep
-  /// reflecting every admitted action, batch size notwithstanding.
-  virtual void EpochBoundary() {}
   virtual const char* EpochVerdict() const = 0;
   virtual GcStats EpochGc() const = 0;
-  virtual uint64_t QueueDepth() = 0;
   virtual Final Finish() = 0;
 };
 
@@ -90,7 +85,6 @@ class BatchSink : public Sink {
   void Admit(const Action& a) override { collected_.push_back(a); }
   const char* EpochVerdict() const override { return "pending"; }
   GcStats EpochGc() const override { return GcStats{}; }
-  uint64_t QueueDepth() override { return 0; }
 
   Final Finish() override {
     CertifierReport report = CertifySeriallyCorrect(type_, collected_, mode_);
@@ -106,41 +100,22 @@ class BatchSink : public Sink {
 
 class IncrementalSink : public Sink {
  public:
-  IncrementalSink(const SystemType& type, ConflictMode mode, size_t gc_interval,
-                  size_t batch)
-      : cert_(type, mode, GcOptions{gc_interval}), batch_(batch) {}
+  IncrementalSink(const SystemType& type, ConflictMode mode, size_t gc_interval)
+      : cert_(type, mode, GcOptions{gc_interval}) {}
 
-  void Admit(const Action& a) override {
-    if (batch_ <= 1) {
-      cert_.Ingest(a);
-      return;
-    }
-    buffer_.push_back(a);
-    if (buffer_.size() >= batch_) Flush();
-  }
-  void EpochBoundary() override { Flush(); }
+  void Admit(const Action& a) override { cert_.Ingest(a); }
   const char* EpochVerdict() const override {
     return cert_.verdict().ok() ? "ok" : "rejected";
   }
   GcStats EpochGc() const override { return cert_.gc_stats(); }
-  uint64_t QueueDepth() override { return buffer_.size(); }
 
   Final Finish() override {
-    Flush();
     IncrementalVerdict v = cert_.verdict();
     return Final{v.appropriate, v.acyclic, cert_.gc_stats()};
   }
 
  private:
-  void Flush() {
-    if (buffer_.empty()) return;
-    cert_.IngestBatch(std::span<const Action>(buffer_));
-    buffer_.clear();
-  }
-
   IncrementalCertifier cert_;
-  const size_t batch_;
-  std::vector<Action> buffer_;
 };
 
 std::unique_ptr<Sink> MakeSink(const WorkloadInstance& wl,
@@ -148,8 +123,8 @@ std::unique_ptr<Sink> MakeSink(const WorkloadInstance& wl,
   if (opt.mode == CertMode::kBatch) {
     return std::make_unique<BatchSink>(*wl.type, wl.mode);
   }
-  return std::make_unique<IncrementalSink>(*wl.type, wl.mode, opt.gc_interval,
-                                           opt.batch);
+  return std::make_unique<IncrementalSink>(*wl.type, wl.mode,
+                                           opt.gc_interval);
 }
 
 }  // namespace
@@ -203,7 +178,6 @@ Status RunLoad(const WorkloadInstance& wl, const LoadOptions& opt,
   uint64_t ops = 0;
 
   auto emit_epoch = [&]() {
-    sink->EpochBoundary();
     if (timeline != nullptr) {
       obs::TimelineEpoch e;
       e.epoch = epoch_idx;
@@ -223,7 +197,6 @@ Status RunLoad(const WorkloadInstance& wl, const LoadOptions& opt,
         e.p95_us = lat.Quantile(0.95);
         e.p99_us = lat.Quantile(0.99);
         e.p999_us = lat.Quantile(0.999);
-        e.queue_depth = sink->QueueDepth();
         e.wall_elapsed_s =
             static_cast<double>(NowUs() - wall_start) / 1e6;
         e.metrics_json =

@@ -43,10 +43,7 @@ struct LoadOptions {
   size_t shards = 4;
   /// Commit-watermark GC interval for the incremental certifier; 0 = off.
   size_t gc_interval = 0;
-  /// >1 enables epoch-batched admission: the incremental sink buffers up to
-  /// this many actions and commits them with one IngestBatch (flushing at
-  /// every timeline epoch boundary and at Finish, so epoch verdicts stay
-  /// deterministic). 0 or 1 = per-event. Verdicts are batching-independent.
+  /// Ignored; kept only because perfbench/entries.cc sets it.
   size_t batch = 0;
   /// Sleep until each arrival's scheduled wall time (true measurement);
   /// false admits back-to-back and records pure service time — what the
@@ -55,7 +52,7 @@ struct LoadOptions {
   bool pace = true;
   /// Non-empty streams a per-epoch NDJSON timeline here.
   std::string timeline_path;
-  /// Adds the wall-clock fields (latency quantiles, queue depth, metrics
+  /// Adds the wall-clock fields (latency quantiles, elapsed time, metrics
   /// snapshot) to each timeline record. Off, the timeline carries only the
   /// deterministic core and is byte-identical across runs.
   bool timeline_wallclock = false;

@@ -197,31 +197,6 @@ const LoadMetrics& GetLoadMetrics() {
   return m;
 }
 
-const BatchMetrics& GetBatchMetrics() {
-  // Realized batch sizes span "flag left at 1" through whole-trace epochs;
-  // power-of-two bounds keep the histogram cheap while still separating the
-  // regimes the perf gate cares about.
-  static const BatchMetrics m = {
-      Reg().GetCounter("ntsg_batch_commits_total",
-                       "Edge batches committed by one batched reorder pass"),
-      Reg().GetCounter("ntsg_batch_bisects_total",
-                       "Edge batches rejected and replayed per-edge"),
-      Reg().GetCounter("ntsg_batch_edges_staged_total",
-                       "Graph edges staged by batched ingestion"),
-      Reg().GetCounter("ntsg_batch_edges_committed_total",
-                       "Fresh edges committed by batch passes"),
-      Reg().GetCounter("ntsg_batch_actions_total",
-                       "Actions ingested through the batched admission path"),
-      Reg().GetHistogram("ntsg_batch_size_actions",
-                         "Actions per flushed admission batch",
-                         {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
-                          4096, 8192, 16384, 32768, 65536}),
-      LatencyHistogram("ntsg_batch_commit_us",
-                       "Batched edge-commit (or replay) duration"),
-  };
-  return m;
-}
-
 void RegisterAllMetricFamilies() {
   (void)GetCertifierMetrics();
   (void)GetSgtMetrics();
@@ -231,7 +206,6 @@ void RegisterAllMetricFamilies() {
   (void)GetFaultMetrics();
   (void)GetIsoMetrics();
   (void)GetLoadMetrics();
-  (void)GetBatchMetrics();
 }
 
 }  // namespace ntsg::obs

@@ -132,21 +132,6 @@ struct LoadMetrics {
 };
 const LoadMetrics& GetLoadMetrics();
 
-/// Epoch-batched admission fast path (ntsg_batch_*): batch commit/replay
-/// outcomes, staged-edge volume, and the realized batch-size distribution
-/// (GC barriers and trace tails split requested batches, so the histogram —
-/// not the flag value — is the ground truth for what the fast path saw).
-struct BatchMetrics {
-  Counter* batches_committed;   // ntsg_batch_commits_total
-  Counter* batches_bisected;    // ntsg_batch_bisects_total
-  Counter* edges_staged;        // ntsg_batch_edges_staged_total
-  Counter* edges_committed;     // ntsg_batch_edges_committed_total
-  Counter* actions_batched;     // ntsg_batch_actions_total
-  Histogram* batch_size;        // ntsg_batch_size_actions
-  Histogram* commit_us;         // ntsg_batch_commit_us
-};
-const BatchMetrics& GetBatchMetrics();
-
 /// Forces registration of every family above except the ingest shims, so
 /// a snapshot taken before any workload still exposes the full schema with
 /// zero values — what `ntsg certify --metrics-out` relies on.

@@ -18,7 +18,7 @@ namespace ntsg::obs {
 /// virtual-time window, offered/admitted counts, verdict, GC progress — is
 /// a pure function of (workload seed, rate seed, certifier mode), so two
 /// runs render byte-identical lines. The extras —
-/// latency quantiles, queue depths, the full metric-registry snapshot —
+/// latency quantiles, elapsed wall time, the full metric-registry snapshot —
 /// measure the machine and are only emitted when the emitter was opened
 /// with include_wallclock (ntsg load --timeline-wallclock).
 struct TimelineEpoch {
@@ -42,7 +42,6 @@ struct TimelineEpoch {
   double p95_us = 0;
   double p99_us = 0;
   double p999_us = 0;
-  uint64_t queue_depth = 0;   // admission buffer, sampled at the boundary
   double wall_elapsed_s = 0;  // since the run started
   /// Compact JSON snapshot of every metric family
   /// (MetricsRegistry::JsonText(compact)); empty = omit the field.

@@ -82,8 +82,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
     case TraceEventKind::kGcLateEvent: return "gc_late_event";
     case TraceEventKind::kIsoLevelRejected: return "iso_level_rejected";
     case TraceEventKind::kIsoMinerHit: return "iso_miner_hit";
-    case TraceEventKind::kBatchCommit: return "batch_commit";
-    case TraceEventKind::kBatchBisect: return "batch_bisect";
   }
   return "unknown";
 }
@@ -114,8 +112,6 @@ TraceEventFieldInfo TraceEventFields(TraceEventKind kind) {
     case TraceEventKind::kGcRun:
     case TraceEventKind::kIsoLevelRejected:
     case TraceEventKind::kIsoMinerHit:
-    case TraceEventKind::kBatchCommit:
-    case TraceEventKind::kBatchBisect:
       return {false, false};
   }
   return {false, false};

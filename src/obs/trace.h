@@ -51,8 +51,6 @@ enum class TraceEventKind : uint8_t {
   kGcLateEvent,      // action named a retired family       (a=tx, b=ActionKind, arg=pos)
   kIsoLevelRejected, // isolation level rejected a trace    (a=IsoLevel, b=AnomalyKind)
   kIsoMinerHit,      // miner found a counterexample        (a=run index, b=AnomalyKind)
-  kBatchCommit,      // batched admission committed         (a=#staged, b=#fresh, arg=region size)
-  kBatchBisect,      // batch rejected; per-edge replay     (a=#staged, arg=#staged)
 };
 
 const char* TraceEventKindName(TraceEventKind kind);

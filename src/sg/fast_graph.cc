@@ -242,160 +242,6 @@ bool IncrementalTopoGraph::AddEdge(TxName from, TxName to) {
   return true;
 }
 
-IncrementalTopoGraph::BatchAddResult IncrementalTopoGraph::AddEdgesBatch(
-    const std::vector<BatchEdge>& edges) {
-  BatchAddResult result;
-
-  // ---- Phase A: dedup + feasibility. Strictly read-only, so any failure
-  // leaves the graph byte-identical and the caller can replay per-edge.
-  struct Fresh {
-    uint32_t from_vid;
-    uint32_t to_vid;
-    TxName from;
-    TxName to;
-  };
-  std::vector<Fresh> fresh;
-  fresh.reserve(edges.size());
-  std::unordered_set<uint64_t> staged_keys;
-  // Names the graph has never seen get virtual ids past the slab; their
-  // pseudo-ords mirror what Slot() will assign in phase B (next_ord_ + j in
-  // first-appearance order), so feasibility sees the committed ord layout.
-  std::unordered_map<TxName, uint32_t> new_vids;
-  std::vector<TxName> new_names;
-  const uint32_t slab = static_cast<uint32_t>(nodes_.size());
-  auto vid_of = [&](TxName t) {
-    auto it = slot_.find(t);
-    if (it != slot_.end()) return it->second;
-    auto [nit, added] =
-        new_vids.try_emplace(t, slab + static_cast<uint32_t>(new_names.size()));
-    if (added) new_names.push_back(t);
-    return nit->second;
-  };
-  auto ord_of = [&](uint32_t vid) {
-    return vid < slab ? nodes_[vid].ord : next_ord_ + (vid - slab);
-  };
-  for (const BatchEdge& e : edges) {
-    // A self loop is a cycle per-edge insertion rejects before creating any
-    // node; fail the whole batch so the replay reproduces that exactly.
-    if (e.from == e.to) return result;
-    uint64_t key = EdgeKey(e.from, e.to);
-    if (edges_.count(key) != 0 || !staged_keys.insert(key).second) continue;
-    fresh.push_back(Fresh{vid_of(e.from), vid_of(e.to), e.from, e.to});
-  }
-  result.fresh_edges = fresh.size();
-
-  uint64_t lb = 0, ub = 0;
-  bool invalidating = false;
-  for (const Fresh& e : fresh) {
-    uint64_t of = ord_of(e.from_vid);
-    uint64_t ot = ord_of(e.to_vid);
-    if (ot < of) {
-      lb = invalidating ? std::min(lb, ot) : ot;
-      ub = invalidating ? std::max(ub, of) : of;
-      invalidating = true;
-    }
-  }
-
-  std::vector<uint32_t> kahn_vids;  // region in its recomputed order
-  std::vector<uint64_t> pool;       // region's own ord keys, ascending
-  if (invalidating) {
-    // Every cycle the batch could close lies inside the ord interval
-    // [lb, ub]: committed and forward staged edges ascend in ord, so a
-    // cycle alternates ascending runs with violating staged edges — and a
-    // violating edge's head has ord >= lb while its tail has ord <= ub,
-    // which pins each run (and hence every node of the cycle) inside the
-    // interval. One Kahn pass over the induced subgraph therefore decides
-    // acyclicity of the whole union, and its output order reuses the
-    // region's own ord pool so nothing outside the interval moves.
-    std::vector<uint32_t> region;
-    for (const auto& [name, s] : slot_) {
-      (void)name;
-      if (nodes_[s].ord >= lb && nodes_[s].ord <= ub) region.push_back(s);
-    }
-    for (uint32_t j = 0; j < new_names.size(); ++j) {
-      uint64_t o = next_ord_ + j;
-      if (o >= lb && o <= ub) region.push_back(slab + j);
-    }
-    std::sort(region.begin(), region.end(),
-              [&](uint32_t a, uint32_t b) { return ord_of(a) < ord_of(b); });
-    std::unordered_map<uint32_t, uint32_t> rix;  // vid -> region index
-    rix.reserve(region.size() * 2);
-    for (uint32_t i = 0; i < region.size(); ++i) rix.emplace(region[i], i);
-
-    std::vector<std::vector<uint32_t>> radj(region.size());
-    std::vector<uint32_t> indeg(region.size(), 0);
-    for (uint32_t i = 0; i < region.size(); ++i) {
-      uint32_t vid = region[i];
-      if (vid >= slab) continue;  // new nodes have no committed edges
-      for (uint32_t succ : nodes_[vid].out) {
-        auto it = rix.find(succ);
-        if (it != rix.end()) {
-          radj[i].push_back(it->second);
-          ++indeg[it->second];
-        }
-      }
-    }
-    for (const Fresh& e : fresh) {
-      auto f = rix.find(e.from_vid);
-      auto t = rix.find(e.to_vid);
-      if (f != rix.end() && t != rix.end()) {
-        radj[f->second].push_back(t->second);
-        ++indeg[t->second];
-      }
-    }
-
-    // Deterministic Kahn: region indices ascend in old ord (region is
-    // ord-sorted), and the frontier always pops the smallest — ties in the
-    // final order are broken by the pre-batch order, like Pearce–Kelly's
-    // relative-order preservation.
-    std::set<uint32_t> ready;
-    for (uint32_t i = 0; i < region.size(); ++i) {
-      if (indeg[i] == 0) ready.insert(i);
-    }
-    kahn_vids.reserve(region.size());
-    while (!ready.empty()) {
-      uint32_t i = *ready.begin();
-      ready.erase(ready.begin());
-      kahn_vids.push_back(region[i]);
-      for (uint32_t s : radj[i]) {
-        if (--indeg[s] == 0) ready.insert(s);
-      }
-    }
-    if (kahn_vids.size() != region.size()) return result;  // cycle; unchanged
-    pool.reserve(region.size());
-    for (uint32_t vid : region) pool.push_back(ord_of(vid));
-    result.region_nodes = region.size();
-  }
-
-  // ---- Phase B: commit. Node slots are created in first-appearance order
-  // and adjacency lists append in batch order — exactly the state a
-  // successful per-edge replay of the batch would leave, so FindPath and
-  // InNeighbors cannot tell the two apart.
-  std::vector<uint32_t> new_slots(new_names.size());
-  for (size_t j = 0; j < new_names.size(); ++j) {
-    new_slots[j] = Slot(new_names[j]);
-  }
-  auto slot_of = [&](uint32_t vid) {
-    return vid < slab ? vid : new_slots[vid - slab];
-  };
-  for (size_t k = 0; k < kahn_vids.size(); ++k) {
-    nodes_[slot_of(kahn_vids[k])].ord = pool[k];
-  }
-  for (const Fresh& e : fresh) {
-    uint32_t sx = slot_of(e.from_vid);
-    uint32_t sy = slot_of(e.to_vid);
-    nodes_[sx].out.push_back(sy);
-    nodes_[sy].in.push_back(sx);
-    edges_.insert(EdgeKey(e.from, e.to));
-  }
-  if (!kahn_vids.empty()) {
-    obs::TraceEmit(obs::TraceEventKind::kTopoReorder, 0, 0, 0, 0,
-                   kahn_vids.size());
-  }
-  result.ok = true;
-  return result;
-}
-
 std::vector<TxName> IncrementalTopoGraph::FindPath(TxName from,
                                                    TxName to) const {
   auto itf = slot_.find(from);

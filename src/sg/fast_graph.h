@@ -80,48 +80,6 @@ class IncrementalTopoGraph {
   /// Adding an edge that is already present is a no-op returning true.
   bool AddEdge(TxName from, TxName to);
 
-  /// One staged edge of a batched insertion.
-  struct BatchEdge {
-    TxName from;
-    TxName to;
-  };
-
-  /// Outcome of AddEdgesBatch.
-  struct BatchAddResult {
-    /// True iff the whole batch committed. False leaves the graph
-    /// byte-identical to before the call — the caller replays per-edge to
-    /// recover exactly which edge a sequential insertion would reject.
-    bool ok = false;
-    /// Edges not already present (inserted when ok; in-batch and live
-    /// duplicates are skipped, as per-edge insertion would no-op them).
-    size_t fresh_edges = 0;
-    /// Nodes whose order keys were reassigned (0 on the forward-only path).
-    size_t region_nodes = 0;
-  };
-
-  /// Batched admission: attempts to add every edge with ONE affected-region
-  /// recompute instead of one Pearce–Kelly pass per edge. All-or-nothing:
-  ///
-  ///   * duplicates (against the live graph and within the batch) are
-  ///     dropped first, exactly as sequential insertion would no-op them;
-  ///   * if no surviving edge violates the maintained order (ord[to] >=
-  ///     ord[from] for all), the batch commits with zero traversal;
-  ///   * otherwise the affected region is the full ord interval
-  ///     [min ord(to), max ord(from)] over the violating edges — every cycle
-  ///     the batch could close lies inside it, because committed and
-  ///     forward staged edges ascend in ord — and one deterministic Kahn
-  ///     pass over the induced subgraph (old + staged edges) either reorders
-  ///     the region within its own ord pool or proves a cycle;
-  ///   * on a cycle (or a from == to edge) nothing is modified and ok is
-  ///     false.
-  ///
-  /// On success the committed state is byte-identical to what sequential
-  /// AddEdge calls in batch order would have produced everywhere it is
-  /// observable: node slots are created in first-appearance order and
-  /// adjacency lists append in batch order, so FindPath and InNeighbors see
-  /// the same graph (only the unobservable ord keys may differ).
-  BatchAddResult AddEdgesBatch(const std::vector<BatchEdge>& edges);
-
   bool HasEdge(TxName from, TxName to) const;
 
   /// Removes the edge if present (no-op otherwise). Never invalidates the
@@ -160,8 +118,8 @@ class IncrementalTopoGraph {
   /// Live nodes (slab slots on the free list are not counted).
   size_t node_count() const { return slot_.size(); }
   size_t edge_count() const { return edges_.size(); }
-  /// Slab capacity including recycled slots; bounded-memory assertions in
-  /// the GC soak test watch this rather than node_count().
+  /// Slab capacity including recycled slots. Slot reuse keeps it at the
+  /// peak live node count (topo_removal_test's churn case asserts this).
   size_t slab_count() const { return nodes_.size(); }
   /// Next order key the allocator would hand out; CompactOrders rewinds it.
   uint64_t next_ord() const { return next_ord_; }

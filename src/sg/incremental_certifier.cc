@@ -1,6 +1,6 @@
 #include "sg/incremental_certifier.h"
 
-#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/logging.h"
@@ -164,12 +164,6 @@ IncrementalCertifier& IncrementalCertifier::operator=(
   acyclic_ = copy.acyclic_;
   first_rejection_pos_ = copy.first_rejection_pos_;
   cycle_witness_ = std::move(copy.cycle_witness_);
-  // Batch staging is empty at every public-call boundary (FlushBatch runs
-  // before IngestBatch returns); clear defensively rather than copy.
-  batching_ = false;
-  staged_edges_.clear();
-  staged_illegal_pos_.reset();
-  batch_actions_ = 0;
   return *this;
 }
 
@@ -181,136 +175,17 @@ ObjectIngestState& IncrementalCertifier::ObjectState(ObjectId x) {
   return *objects_[x];
 }
 
-bool IncrementalCertifier::IngestAction(const Action& a) {
-  obs::GetCertifierMetrics().actions_ingested->Inc();
-  return front_.Ingest(a, *this);
-}
-
 void IncrementalCertifier::Ingest(const Action& a) {
-  if (!IngestAction(a)) return;
+  obs::GetCertifierMetrics().actions_ingested->Inc();
+  // False = the front end dropped the action as a late event: no verdict or
+  // GC tail (SgFrontEnd::Ingest).
+  if (!front_.Ingest(a, *this)) return;
   NoteVerdict();
   if (front_.GcDue()) RunGc();
 }
 
 void IncrementalCertifier::IngestTrace(const Trace& beta) {
   for (const Action& a : beta) Ingest(a);
-}
-
-void IncrementalCertifier::IngestBatch(std::span<const Action> batch) {
-  for (const Action& a : batch) {
-    if (!acyclic_) {
-      // Cyclic verdicts are final and the witness must stay intact; the
-      // remaining actions only update object replay state, which the
-      // per-event path already does minimally.
-      Ingest(a);
-      continue;
-    }
-    batching_ = true;
-    bool processed = IngestAction(a);
-    ++batch_actions_;
-    if (!processed) continue;  // Dropped late event: no verdict/GC tail.
-    // Deferred NoteVerdict: graph insertions are staged, so acyclic_ cannot
-    // flip mid-batch — but illegal return values surface immediately. Latch
-    // the first such position; FlushBatch reconciles it against the first
-    // cycle-closing action, which may be earlier.
-    if (!first_rejection_pos_.has_value() && !staged_illegal_pos_.has_value() &&
-        illegal_objects_ != 0) {
-      staged_illegal_pos_ = front_.position() - 1;
-    }
-    if (front_.GcDue()) {
-      // A batch never spans a GC barrier: the collector walks the live
-      // graph (predecessor closure, retirement), so every staged edge must
-      // be committed or rejected before it runs.
-      FlushBatch();
-      RunGc();
-    }
-  }
-  if (batching_) FlushBatch();
-}
-
-void IncrementalCertifier::IngestTraceBatched(const Trace& beta,
-                                              size_t batch_size) {
-  if (batch_size <= 1) {
-    IngestTrace(beta);
-    return;
-  }
-  for (size_t i = 0; i < beta.size(); i += batch_size) {
-    size_t n = std::min(batch_size, beta.size() - i);
-    IngestBatch(std::span<const Action>(beta.data() + i, n));
-  }
-}
-
-void IncrementalCertifier::FlushBatch() {
-  batching_ = false;
-  std::optional<uint64_t> cycle_pos;
-  if (!staged_edges_.empty()) {
-    obs::SpanTimer span(obs::GetBatchMetrics().commit_us);
-    std::vector<IncrementalTopoGraph::BatchEdge> edges;
-    edges.reserve(staged_edges_.size());
-    for (const StagedEdge& e : staged_edges_) {
-      edges.push_back(IncrementalTopoGraph::BatchEdge{e.from, e.to});
-    }
-    IncrementalTopoGraph::BatchAddResult r = graph_.AddEdgesBatch(edges);
-    if (r.ok) {
-      obs::GetBatchMetrics().batches_committed->Inc();
-      obs::GetBatchMetrics().edges_committed->Inc(r.fresh_edges);
-      obs::TraceEmit(obs::TraceEventKind::kBatchCommit, kT0,
-                     static_cast<uint32_t>(staged_edges_.size()),
-                     static_cast<uint32_t>(r.fresh_edges), 0, r.region_nodes);
-      if (obs::TraceEnabled()) {
-        // Keep the flight-recorder edge stream identical to per-event mode.
-        for (const StagedEdge& e : staged_edges_) {
-          obs::TraceEmit(obs::TraceEventKind::kEdgeInserted, e.parent, e.from,
-                         e.to,
-                         e.is_conflict ? obs::kTraceFlagConflict
-                                       : obs::kTraceFlagPrecedes);
-        }
-      }
-    } else {
-      // Somewhere in the batch a sequential insertion would have refused an
-      // edge. The failed commit left the graph untouched, so replaying the
-      // staged sequence per-edge from the top reproduces the per-event run
-      // exactly: same first rejection, same FindPath witness, same
-      // post-rejection insertions.
-      obs::GetBatchMetrics().batches_bisected->Inc();
-      obs::TraceEmit(obs::TraceEventKind::kBatchBisect, kT0,
-                     static_cast<uint32_t>(staged_edges_.size()), 0, 0,
-                     staged_edges_.size());
-      for (const StagedEdge& e : staged_edges_) {
-        bool was_acyclic = acyclic_;
-        AddGraphEdge(e.parent, e.from, e.to, e.is_conflict);
-        if (was_acyclic && !acyclic_) cycle_pos = e.action_pos;
-      }
-    }
-    staged_edges_.clear();
-  }
-  obs::GetBatchMetrics().actions_batched->Inc(batch_actions_);
-  obs::GetBatchMetrics().batch_size->Observe(
-      static_cast<double>(batch_actions_));
-  batch_actions_ = 0;
-  if (!first_rejection_pos_.has_value()) {
-    // What per-event NoteVerdict would have latched: the first action whose
-    // processing left the verdict not-OK — the earlier of the first illegal-
-    // values position and the first cycle-closing action. Flags reflect the
-    // state at that action, so only causes at or before it are set.
-    std::optional<uint64_t> bad = staged_illegal_pos_;
-    if (cycle_pos.has_value() && (!bad.has_value() || *cycle_pos < *bad)) {
-      bad = cycle_pos;
-    }
-    if (bad.has_value()) {
-      first_rejection_pos_ = bad;
-      uint8_t flags = 0;
-      if (staged_illegal_pos_.has_value() && *staged_illegal_pos_ <= *bad) {
-        flags |= obs::kTraceFlagInappropriate;
-      }
-      if (cycle_pos.has_value() && *cycle_pos <= *bad) {
-        flags |= obs::kTraceFlagCycle;
-      }
-      obs::TraceEmit(obs::TraceEventKind::kVerdictRejected, kT0, 0, 0, flags,
-                     *first_rejection_pos_);
-    }
-  }
-  staged_illegal_pos_.reset();
 }
 
 void IncrementalCertifier::OnVisibleOp(uint64_t pos, TxName tx,
@@ -344,14 +219,6 @@ void IncrementalCertifier::OnPrecedes(TxName parent, TxName from,
 
 void IncrementalCertifier::AddGraphEdge(TxName parent, TxName from, TxName to,
                                         bool is_conflict) {
-  if (batching_) {
-    // Deferred to FlushBatch. acyclic_ is true here (IngestBatch falls back
-    // to per-event once it flips), so staging never hides a final verdict.
-    staged_edges_.push_back(
-        StagedEdge{parent, from, to, is_conflict, front_.position() - 1});
-    obs::GetBatchMetrics().edges_staged->Inc();
-    return;
-  }
   obs::SpanTimer span(obs::GetCertifierMetrics().edge_insert_us);
   uint8_t relation =
       is_conflict ? obs::kTraceFlagConflict : obs::kTraceFlagPrecedes;

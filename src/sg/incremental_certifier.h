@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -141,27 +140,6 @@ class IncrementalCertifier {
   void Ingest(const Action& a);
   void IngestTrace(const Trace& beta);
 
-  /// Epoch-batched admission: ingests the actions in order but defers every
-  /// serialization-graph insertion the batch produces, committing them with
-  /// ONE batched reorder pass (IncrementalTopoGraph::AddEdgesBatch) at the
-  /// end instead of one Pearce–Kelly pass per edge. Equivalent to calling
-  /// Ingest per action at every batch boundary: verdict, first_rejection_pos,
-  /// cycle witness, and graph fingerprint are byte-identical (the batch-
-  /// parity property test). Two guards keep that exact:
-  ///
-  ///   * a batch never spans a GC barrier — staged edges flush before every
-  ///     scheduled RunGc, so the collector always sees the live graph;
-  ///   * once the verdict is cyclic (final), remaining actions take the
-  ///     per-event path — there is nothing left to batch.
-  ///
-  /// On batch rejection the staged edges are replayed per-edge from the
-  /// start of the batch (the failed commit leaves the graph untouched), so
-  /// the exact first-rejecting action and its witness cycle are recovered.
-  void IngestBatch(std::span<const Action> batch);
-
-  /// IngestTrace in batches of `batch_size` actions (<=1 means per-event).
-  void IngestTraceBatched(const Trace& beta, size_t batch_size);
-
   /// Runs one retirement pass now (normally driven by the ingest counter).
   /// No-op when GC is disabled or the verdict has already gone not-OK (a
   /// cyclic verdict is final and the witness must stay intact).
@@ -218,17 +196,6 @@ class IncrementalCertifier {
  private:
   friend class SgFrontEnd;  // the sink calls below
 
-  /// One deferred graph insertion: the edge plus the position of the action
-  /// whose processing produced it, so a rejected batch can map the first
-  /// cycle-closing edge back to its first-rejecting action.
-  struct StagedEdge {
-    TxName parent;
-    TxName from;
-    TxName to;
-    bool is_conflict;
-    uint64_t action_pos;
-  };
-
   /// Sink: inserts the visible operation into its object and adds the
   /// conflict edges it induces.
   void OnVisibleOp(uint64_t pos, TxName tx, const Value& v);
@@ -236,15 +203,6 @@ class IncrementalCertifier {
   void OnPrecedes(TxName parent, TxName from, TxName to);
   void AddGraphEdge(TxName parent, TxName from, TxName to, bool is_conflict);
   void NoteVerdict();
-  /// Ingest minus the per-action verdict/GC tail — the shared body of the
-  /// per-event and batched paths. False = the front end dropped the action
-  /// as a late event and the tail must not run (SgFrontEnd::Ingest).
-  bool IngestAction(const Action& a);
-  /// Commits (or replays) the staged edges and reconciles the deferred
-  /// verdict: first_rejection_pos becomes the minimum of the first staged
-  /// illegal-values position and the first cycle-closing action, exactly
-  /// what per-event NoteVerdict would have latched.
-  void FlushBatch();
   ObjectIngestState& ObjectState(ObjectId x);
   /// Executes the retirement of `roots` (already sealed and
   /// predecessor-closed): the front end's state, graph nodes, memoized
@@ -262,13 +220,6 @@ class IncrementalCertifier {
   bool acyclic_ = true;
   std::optional<uint64_t> first_rejection_pos_;
   std::vector<TxName> cycle_witness_;
-  /// Batched-admission state. Empty/false at every public-call boundary
-  /// except inside IngestBatch (FlushBatch always runs before it returns),
-  /// so copies taken between calls need not carry it.
-  bool batching_ = false;
-  std::vector<StagedEdge> staged_edges_;
-  std::optional<uint64_t> staged_illegal_pos_;
-  uint64_t batch_actions_ = 0;
   /// Per-call scratch (cleared before each use) so the activation hot path
   /// does zero heap allocation at steady state; never holds state across
   /// calls and is deliberately not copied.

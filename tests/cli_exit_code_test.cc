@@ -31,9 +31,12 @@ int RunCli(const std::string& args) {
 }
 
 /// Runs `ntsg <args>`, capturing stdout into `out` (stderr discarded);
-/// returns the exit code.
-int RunCliCapture(const std::string& args, std::string* out) {
-  std::string cmd = std::string(NTSG_CLI_PATH) + " " + args + " 2>/dev/null";
+/// returns the exit code. `shell_prefix` runs first in the same shell (e.g.
+/// a ulimit for the ntsg process).
+int RunCliCapture(const std::string& args, std::string* out,
+                  const std::string& shell_prefix = "") {
+  std::string cmd = shell_prefix + std::string(NTSG_CLI_PATH) + " " + args +
+                    " 2>/dev/null";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   if (pipe == nullptr) return -1;
@@ -61,6 +64,8 @@ TEST(CliExitCodeTest, UsageErrorsReturn2) {
   EXPECT_EQ(RunCli("run --seed"), 2);              // flag missing its value
   EXPECT_EQ(RunCli("trace --toplevel 2"), 2);      // trace needs --trace-out
   EXPECT_EQ(RunCli("run --shards 2"), 2);          // no sharded certifier
+  EXPECT_EQ(RunCli("load --batch"), 2);            // one admission path
+  EXPECT_EQ(RunCli("stats --batch=64"), 2);
   EXPECT_EQ(RunCli("load --certifier sharded"), 2);
   EXPECT_EQ(RunCli("run --wal /tmp/ntsg_cli_wal"), 2);  // wal needs online
 }
@@ -98,6 +103,49 @@ TEST(CliExitCodeTest, UnwritableOutputPathsReturn2BeforeAnyWork) {
   EXPECT_EQ(RunCli("run --toplevel 2 --trace-out=" + bad), 2);
   // A directory is not a writable file either.
   EXPECT_EQ(RunCli("stats --toplevel 2 --metrics-out=/tmp"), 2);
+  // Nor is a --wal directory that cannot be created, or a regular file in
+  // its place. certify names a missing trace: exit 4 would mean the trace
+  // was read before the log was checked.
+  const std::string file_in_the_way = TempPath("ntsg_cli_wal_is_a_file");
+  { std::ofstream touch(file_in_the_way); }
+  for (const std::string& wal :
+       {std::string("/proc/ntsg-no-such-dir"), file_in_the_way}) {
+    EXPECT_EQ(RunCli("certify " + TempPath("ntsg_cli_no_such.trace") +
+                     " --online --wal " + wal),
+              2)
+        << wal;
+    EXPECT_EQ(RunCli("chaos --toplevel 2 --wal " + wal), 2) << wal;
+  }
+  std::remove(file_in_the_way.c_str());
+}
+
+// A WAL that breaks mid-run (here: a file-size limit standing in for a full
+// disk, with SIGXFSZ ignored so the write fails with EFBIG) is still exit 3,
+// and the run says WAL FAILED rather than blaming the certifiers.
+TEST(CliExitCodeTest, WalFailingMidRunReturns3) {
+  QuickRunParams params;
+  params.config.backend = Backend::kMoss;
+  params.config.seed = 1;
+  params.num_objects = 4;
+  params.num_toplevel = 40;
+  QuickRunResult run = QuickRun(params);
+  const std::string trace_path = TempPath("ntsg_cli_wal_full.trace");
+  ASSERT_TRUE(WriteTraceFile(trace_path, *run.type, run.sim.trace).ok());
+  const std::string wal = TempPath("ntsg_cli_wal_full");
+  const std::string small_disk = "trap '' XFSZ; ulimit -f 8; ";
+
+  for (const std::string& args :
+       {"certify " + trace_path + " --online --wal " + wal,
+        "chaos --toplevel 40 --seed 2 --quiet --wal " + wal}) {
+    std::filesystem::remove_all(wal);
+    std::string out;
+    EXPECT_EQ(RunCliCapture(args, &out, small_disk), 3) << args << "\n" << out;
+    EXPECT_NE(out.find("\nWAL FAILED: "), std::string::npos) << args << "\n"
+                                                              << out;
+    EXPECT_EQ(out.find("DISAGREEMENT"), std::string::npos) << out;
+  }
+  std::filesystem::remove_all(wal);
+  std::remove(trace_path.c_str());
 }
 
 TEST(CliExitCodeTest, CorruptOrMissingTraceReturns4) {

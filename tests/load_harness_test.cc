@@ -137,9 +137,8 @@ TEST(LoadHarnessTest, AllCertifierModesAgreePerWorkload) {
 
 // The determinism contract: with wall-clock fields off, the timeline is a
 // pure function of (workload seed, arrival seed, mode) — byte-identical
-// across runs and across admission batch sizes (batches flush at every
-// epoch boundary), GC on.
-TEST(LoadHarnessTest, TimelineBytesIdenticalAcrossRunsAndBatchSizes) {
+// across runs, GC on.
+TEST(LoadHarnessTest, TimelineBytesIdenticalAcrossRuns) {
   WorkloadParams params;
   params.workload = Workload::kTpcc;
   params.scale = 12;
@@ -147,9 +146,8 @@ TEST(LoadHarnessTest, TimelineBytesIdenticalAcrossRunsAndBatchSizes) {
   params.seed = 5;
   WorkloadInstance wl = BuildWorkload(params);
 
-  auto run = [&](size_t batch, const std::string& path) {
+  auto run = [&](const std::string& path) {
     LoadOptions opt = FastOptions(CertMode::kIncremental);
-    opt.batch = batch;
     opt.gc_interval = 128;
     opt.timeline_path = path;
     LoadReport report;
@@ -160,20 +158,16 @@ TEST(LoadHarnessTest, TimelineBytesIdenticalAcrossRunsAndBatchSizes) {
 
   const std::string a = TempPath("tl_a.ndjson");
   const std::string b = TempPath("tl_b.ndjson");
-  const std::string c = TempPath("tl_c.ndjson");
-  run(0, a);
-  run(64, b);  // epoch-batched admission
-  run(0, c);   // repeat of the first run
+  run(a);
+  run(b);  // repeat of the first run
   const std::string bytes_a = ReadFile(a);
   EXPECT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, ReadFile(b)) << "batch size moved the timeline";
-  EXPECT_EQ(bytes_a, ReadFile(c)) << "repeat run moved the timeline";
+  EXPECT_EQ(bytes_a, ReadFile(b)) << "repeat run moved the timeline";
   EXPECT_EQ(static_cast<size_t>(std::count(bytes_a.begin(), bytes_a.end(),
                                            '\n')),
             size_t{5});
   std::remove(a.c_str());
   std::remove(b.c_str());
-  std::remove(c.c_str());
 }
 
 // Pins the NDJSON record shape Emit writes: fixed key order, deterministic
@@ -202,14 +196,16 @@ TEST(LoadHarnessTest, TimelineRenderLinePinsFormat) {
   e.p95_us = 2;
   e.p99_us = 3;
   e.p999_us = 4;
-  e.queue_depth = 7;
   e.wall_elapsed_s = 0.25;
   e.metrics_json = "{\"x\":1}";
-  std::string wall = obs::TimelineEmitter::RenderLine(e, true);
-  EXPECT_NE(wall.find("\"p50_us\":1.500"), std::string::npos) << wall;
-  EXPECT_NE(wall.find("\"p999_us\":4.000"), std::string::npos) << wall;
-  EXPECT_NE(wall.find("\"queue_depth\":7"), std::string::npos) << wall;
-  EXPECT_NE(wall.find("\"metrics\":{\"x\":1}"), std::string::npos) << wall;
+  EXPECT_EQ(obs::TimelineEmitter::RenderLine(e, /*include_wallclock=*/true),
+            "{\"epoch\":2,\"mode\":\"incremental\",\"vtime_start_us\":100,"
+            "\"vtime_end_us\":200,\"offered\":40,\"admitted_total\":120,"
+            "\"ops_total\":30,\"verdict\":\"pending\",\"gc_runs\":1,"
+            "\"gc_retired_families\":6,\"gc_watermark\":96,"
+            "\"p50_us\":1.500,\"p95_us\":2.000,\"p99_us\":3.000,"
+            "\"p999_us\":4.000,\"wall_elapsed_s\":0.250,"
+            "\"metrics\":{\"x\":1}}");
   // The deterministic render carries none of the wall-clock keys.
   std::string core = obs::TimelineEmitter::RenderLine(e, false);
   EXPECT_EQ(core.find("p50_us"), std::string::npos);

@@ -173,55 +173,9 @@ TEST(ObsMetricsTest, RegisterAllCoversEveryLayerFamily) {
         "ntsg_sg_conflict_edges_emitted_total",
         "ntsg_sg_precedes_edges_emitted_total", "ntsg_sg_frontier_hits_total",
         "ntsg_sg_frontier_misses_total", "ntsg_sg_class_pair_evals_total",
-        "ntsg_lca_level_build_us",
-        "ntsg_sg_batch_build_us", "ntsg_batch_commits_total",
-        "ntsg_batch_bisects_total", "ntsg_batch_edges_staged_total",
-        "ntsg_batch_edges_committed_total", "ntsg_batch_actions_total",
-        "ntsg_batch_size_actions", "ntsg_batch_commit_us"}) {
+        "ntsg_lca_level_build_us", "ntsg_sg_batch_build_us"}) {
     EXPECT_NE(text.find(family), std::string::npos) << family;
   }
-}
-
-// Batched-admission conformance: a batched ingest must populate the
-// ntsg_batch_* families consistently (every staged edge accounted for,
-// every action counted once) and the batch-size histogram must surface in
-// the human-facing QuantileText the stats command prints.
-TEST(ObsMetricsTest, BatchFamiliesRecordBatchedIngest) {
-  ScopedMetricsEnabled on(true);
-  obs::RegisterAllMetricFamilies();
-  obs::MetricsRegistry::Default().ResetAll();
-  const obs::BatchMetrics& bm = obs::GetBatchMetrics();
-
-  QuickRunParams params;
-  params.config.backend = Backend::kMoss;
-  params.config.seed = 5;
-  params.num_objects = 4;
-  params.num_toplevel = 6;
-  QuickRunResult run = QuickRun(params);
-  ASSERT_TRUE(run.sim.stats.completed);
-
-  IncrementalCertifier cert(*run.type, ConflictMode::kReadWrite);
-  cert.IngestTraceBatched(run.sim.trace, 64);
-
-  // Every action passed through the batched path; every flush either
-  // committed or was replayed; fresh edges never exceed staged edges.
-  EXPECT_EQ(bm.actions_batched->value(), run.sim.trace.size());
-  EXPECT_GT(bm.batches_committed->value() + bm.batches_bisected->value(), 0u);
-  EXPECT_GE(bm.edges_staged->value(), bm.edges_committed->value());
-  EXPECT_GT(bm.edges_staged->value(), 0u);
-  // Every flush observes its action count (flushes with no staged edges
-  // still count), so the histogram covers at least every commit/replay and
-  // its mass is exactly the ingested actions.
-  EXPECT_GE(bm.batch_size->count(),
-            bm.batches_committed->value() + bm.batches_bisected->value());
-  EXPECT_EQ(bm.batch_size->sum(), run.sim.trace.size());
-
-  std::string quantiles = obs::MetricsRegistry::Default().QuantileText();
-  EXPECT_NE(quantiles.find("ntsg_batch_size_actions"), std::string::npos)
-      << quantiles;
-  std::string json = obs::MetricsRegistry::Default().JsonText();
-  EXPECT_NE(json.find("\"ntsg_batch_size_actions\""), std::string::npos);
-  EXPECT_NE(json.find("\"ntsg_batch_commits_total\""), std::string::npos);
 }
 
 // The determinism contract, end to end: the same seeded workload streamed

@@ -1,10 +1,14 @@
-// Property tests for IncrementalTopoGraph edge *removal* under random
-// insert/remove interleavings: the maintained order stays valid for every
-// surviving edge, cycle verdicts always match a from-scratch rebuild, and
-// removal re-enables exactly the edges whose cycles it broke.
+// Property tests for IncrementalTopoGraph edge and node *removal* under
+// random interleavings: the maintained order stays valid for every surviving
+// edge, cycle verdicts always match a from-scratch rebuild, and removal
+// re-enables exactly the edges whose cycles it broke. The node-removal case
+// drives the GC's primitives (RemoveNode, InNeighbors, CompactOrders, slab
+// slot reuse) against a reference model.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -190,6 +194,112 @@ TEST(TopoRemovalTest, TearDownAndRebuildReversed) {
     }
   }
   EXPECT_FALSE(g.AddEdge(1, kNodes));
+}
+
+using LiveModel = std::map<TxName, std::vector<TxName>>;
+
+// The graph's live nodes sorted by their current order key.
+std::vector<TxName> LiveByOrd(const IncrementalTopoGraph& graph,
+                              const LiveModel& live) {
+  std::vector<TxName> nodes;
+  for (const auto& [t, preds] : live) nodes.push_back(t);
+  std::sort(nodes.begin(), nodes.end(), [&graph](TxName a, TxName b) {
+    return *graph.OrdOf(a) < *graph.OrdOf(b);
+  });
+  return nodes;
+}
+
+// The watermark GC drives the graph with AddEdge, RemoveNode and periodic
+// CompactOrders (never RemoveEdge). A seeded churn of exactly that mix runs
+// against a reference model, the live nodes with each one's predecessors in
+// insertion order, and after every step:
+//   1. HasEdge and edge_count match the reference edge set;
+//   2. InNeighbors lists the reference predecessors in insertion order;
+//   3. every edge ascends in OrdOf;
+//   4. AddEdge refuses exactly the edges that close a reference path;
+//   5. slab_count() never exceeds the peak live node count (slots recycle);
+//   6. after CompactOrders, next_ord() == node_count() and the live nodes
+//      keep their relative order on keys 0..node_count()-1.
+TEST(TopoRemovalTest, NodeRemovalChurnMatchesReference) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    IncrementalTopoGraph g;
+    LiveModel live;  // live node -> its predecessors in insertion order
+    EdgeSet edges;
+    const TxName kNodes = 12;
+    size_t peak_live = 0, created = 0;
+    size_t accepted = 0, refused = 0, removed = 0, compacted = 0;
+
+    for (int step = 0; step < 600; ++step) {
+      const uint64_t dice = rng.NextBelow(10);
+      if (dice < 6) {
+        TxName from = static_cast<TxName>(1 + rng.NextBelow(kNodes));
+        TxName to = static_cast<TxName>(1 + rng.NextBelow(kNodes));
+        const bool present = edges.count({from, to}) != 0;
+        const bool closes = !present && WouldCycle(edges, from, to);
+        const bool ok = g.AddEdge(from, to);
+        ASSERT_EQ(ok, !closes) << "seed " << seed << " step " << step << ": "
+                               << from << " -> " << to;
+        if (!ok) {
+          ++refused;
+        } else if (!present) {
+          for (TxName t : {from, to}) {
+            if (live.count(t) == 0) ++created;
+          }
+          live[from];
+          live[to].push_back(from);
+          edges.insert({from, to});
+          ++accepted;
+        }
+      } else if (dice < 9) {
+        TxName t = static_cast<TxName>(1 + rng.NextBelow(kNodes));
+        g.RemoveNode(t);
+        if (live.erase(t) != 0) ++removed;
+        for (auto& [node, preds] : live) {
+          preds.erase(std::remove(preds.begin(), preds.end(), t),
+                      preds.end());
+        }
+        for (auto it = edges.begin(); it != edges.end();) {
+          it = it->first == t || it->second == t ? edges.erase(it)
+                                                 : std::next(it);
+        }
+      } else {
+        const std::vector<TxName> before = LiveByOrd(g, live);
+        g.CompactOrders();
+        ++compacted;
+        ASSERT_EQ(g.next_ord(), g.node_count()) << "seed " << seed;
+        ASSERT_EQ(LiveByOrd(g, live), before) << "seed " << seed;
+        for (size_t i = 0; i < before.size(); ++i) {
+          ASSERT_EQ(*g.OrdOf(before[i]), i) << "seed " << seed;
+        }
+      }
+      peak_live = std::max(peak_live, live.size());
+
+      ASSERT_EQ(g.node_count(), live.size()) << "seed " << seed;
+      ASSERT_EQ(g.edge_count(), edges.size()) << "seed " << seed;
+      ASSERT_LE(g.slab_count(), peak_live) << "seed " << seed;
+      for (TxName from = 1; from <= kNodes; ++from) {
+        for (TxName to = 1; to <= kNodes; ++to) {
+          ASSERT_EQ(g.HasEdge(from, to), edges.count({from, to}) != 0)
+              << "seed " << seed << " step " << step;
+        }
+      }
+      for (TxName t = 1; t <= kNodes; ++t) {
+        auto it = live.find(t);
+        ASSERT_EQ(g.InNeighbors(t),
+                  it == live.end() ? std::vector<TxName>{} : it->second)
+            << "seed " << seed << " step " << step << " node " << t;
+      }
+      ExpectOrderValid(g, edges);
+    }
+
+    // The churn must have exercised every primitive, slot reuse included.
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(removed, 0u);
+    EXPECT_GT(compacted, 0u);
+    EXPECT_GT(created, g.slab_count()) << "no slab slot was ever reused";
+  }
 }
 
 }  // namespace

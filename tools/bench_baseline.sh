@@ -6,9 +6,10 @@
 # crash recovery, T8 metrics, T9 tracing) instrumented — NTSG_BENCH_METRICS_DIR
 # set, so each binary also drops a .prom snapshot — and merges the Google
 # Benchmark JSON outputs into one document keyed by bench name. Phase 2 runs
-# the BM_SgBatch{Naive,Fast} rows of bench_sg_construction with
-# repetitions so the document carries median aggregates; that file is what
-# tools/check_bench_regression.py gates the nightly CI job against.
+# the BM_SgBatch{Naive,Fast} rows of bench_sg_construction through
+# tools/bench_snapshot.sh, with repetitions so the document carries median
+# aggregates; that file is what tools/check_bench_regression.py gates the
+# nightly CI job against.
 #
 # Usage: tools/bench_baseline.sh [output.json] [fastpath-output.json]
 #   BUILD_DIR            build tree holding bench/ binaries (default: build)
@@ -27,9 +28,8 @@ BUILD_DIR="${BUILD_DIR:-build}"
 # shellcheck source=tools/bench_common.sh
 source tools/bench_common.sh
 ntsg_bench_prepare bench_incremental_certifier bench_fault_overhead \
-  bench_obs_overhead bench_trace_overhead bench_sg_construction
+  bench_obs_overhead bench_trace_overhead
 MIN_TIME="${NTSG_BENCH_MIN_TIME:-0.05}"
-REPS="${NTSG_BENCH_REPS:-5}"
 OUT="${1:-BENCH_baseline.json}"
 FASTPATH_OUT="${2:-BENCH_sg_fastpath.json}"
 BENCHES=(bench_incremental_certifier bench_fault_overhead
@@ -84,28 +84,4 @@ fi
 
 # Phase 2: the SG fast-path document. Repetitions give the aggregate rows
 # (median and friends) the regression gate consumes; only those are kept.
-fastbin="$BUILD_DIR/bench/bench_sg_construction"
-if [[ ! -x "$fastbin" ]]; then
-  echo "missing $fastbin — build the bench targets first" >&2
-  exit 1
-fi
-echo "running bench_sg_construction SgBatch rows (reps=$REPS)..." >&2
-"$fastbin" \
-  --benchmark_filter='BM_SgBatch' \
-  --benchmark_min_time="$MIN_TIME" \
-  --benchmark_repetitions="$REPS" \
-  --benchmark_report_aggregates_only=true \
-  --benchmark_format=json \
-  --benchmark_out="$workdir/sg_fastpath.json" \
-  --benchmark_out_format=json >/dev/null
-jq --arg reps "$REPS" \
-  '{schema: 1,
-    repetitions: ($reps | tonumber),
-    context: ((.context | del(.date, .executable))
-              + {repo_build_type: env.NTSG_REPO_BUILD_TYPE}),
-    benches: {bench_sg_construction:
-      [.benchmarks[] | del(.family_index, .per_family_instance_index,
-                           .run_name, .repetitions, .repetition_index,
-                           .threads)]}}' \
-  "$workdir/sg_fastpath.json" > "$FASTPATH_OUT"
-echo "wrote $FASTPATH_OUT" >&2
+tools/bench_snapshot.sh bench_sg_construction BM_SgBatch "$FASTPATH_OUT"

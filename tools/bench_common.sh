@@ -1,5 +1,6 @@
-# Shared build-tree preparation for the tools/bench_*.sh regenerators.
-# Source this after cd'ing to the repo root, then call
+# Shared build-tree preparation for the snapshot regenerators
+# (tools/bench_snapshot.sh, tools/bench_baseline.sh). Source this after
+# cd'ing to the repo root, then call
 #
 #   ntsg_bench_prepare <bench-target>...
 #

@@ -11,7 +11,7 @@ baseline document and fails when
     vs BM_SgBatchFast/110) fell below --min-speedup (default 3.0) in the
     candidate run, or
   * either document was produced from a Debug build of the repo
-    (context.repo_build_type, stamped by the bench_*.sh regenerators):
+    (context.repo_build_type, stamped by tools/bench_snapshot.sh):
     -O0 medians are meaningless as a perf anchor, so the gate refuses
     rather than comparing them. A debug-built Google Benchmark *library*
     (context.library_build_type) only warns — it biases the harness's
@@ -69,7 +69,7 @@ def check_build_type(path, doc):
     if repo is not None and repo.lower() == "debug":
         return (f"{path}: snapshot was produced from a Debug repo build "
                 "(context.repo_build_type) — regenerate with "
-                "tools/bench_*.sh, which configure Release")
+                "tools/bench_snapshot.sh, which configures Release")
     if repo is None:
         print(f"warning: {path} carries no repo_build_type stamp (predates "
               "the bench_common.sh guard); cannot verify it was an "

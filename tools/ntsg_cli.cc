@@ -44,9 +44,9 @@
 //                                 --timeline-out FILE streams a per-epoch
 //                                 NDJSON timeline (--epochs windows;
 //                                 deterministic core fields only, unless
-//                                 --timeline-wallclock adds quantiles, the
-//                                 admission buffer depth, and a metrics
-//                                 snapshot); --sweep
+//                                 --timeline-wallclock adds quantiles,
+//                                 elapsed time, and a metrics snapshot);
+//                                 --sweep
 //                                 steps the offered rate until the latency
 //                                 knees and reports saturation throughput
 //   ntsg isolate <trace-file>     check a saved behavior against the whole
@@ -65,7 +65,10 @@
 //   0  success / verdicts agree
 //   1  a correctness check rejected the execution (certification failure)
 //   2  usage error (bad command, flag, or flag value)
-//   3  certifier disagreement or chaos clean-vs-faulted mismatch
+//   3  certifier disagreement or chaos clean-vs-faulted mismatch, or a
+//      --wal log that failed mid-run (e.g. a full disk; prints WAL FAILED).
+//      A --wal directory that cannot be written at all is a usage error (2),
+//      caught before any work runs.
 //   4  trace file unreadable or corrupt
 //
 // Common options (defaults in brackets):
@@ -87,20 +90,12 @@
 //   --abort-prob P    spontaneous abort probability per step       [0]
 //   --innermost       fine-grained stall aborts (default: top-level)
 //   --online          certify only: stream through IncrementalCertifier
-//   --gc[=N]          certify only: commit-watermark GC every N actions
-//                     (bare --gc uses N=1024). Applies to the batch path
-//                     (which then streams with bounded memory) and
-//                     --online; prints families/nodes retired and ops
-//                     pruned. Metrics land in the ntsg_gc_* families.
-//   --batch[=N]       certify --online / stats / load: epoch-batched
-//                     admission — stage up to N actions' edges and commit
-//                     them with one topological recompute (bare --batch
-//                     uses N=256; 0/1 = per-event). Verdicts, witness
-//                     cycles, and explain
-//                     output are byte-identical to per-event admission; a
-//                     rejected batch is replayed per-edge to recover the
-//                     exact first-rejecting action. Batches never span a GC
-//                     barrier. Metrics land in the ntsg_batch_* families.
+//   --gc[=N]          certify / load: commit-watermark GC every N actions
+//                     (bare --gc uses N=1024). For certify it applies to the
+//                     batch path (which then streams with bounded memory)
+//                     and --online, and prints families/nodes retired and
+//                     ops pruned; for load it applies to the incremental
+//                     certifier. Metrics land in the ntsg_gc_* families.
 //   --fault-seed S    chaos only: fault-plan seed                       [1]
 //   --save FILE       run / chaos: save the behavior (format per --format)
 //   --format NAME     text | binary: trace file format for --save and
@@ -130,25 +125,21 @@
 //   --certifier NAME  batch | incremental | all                    [incremental]
 //   --timeline-out F  stream the per-epoch NDJSON timeline to F
 //                     (with --certifier all: F.<mode> per mode)
-//   --timeline-wallclock  add latency quantiles, buffer depth, and a metrics
-//                     snapshot to each timeline record (wall-clock fields —
-//                     byte-determinism holds only without them)
+//   --timeline-wallclock  add latency quantiles, elapsed time, and a
+//                     metrics snapshot to each timeline record (wall-clock
+//                     fields — byte-determinism holds only without them)
 //   --no-pace         admit back-to-back instead of pacing arrivals to the
 //                     wall clock (virtual-time bookkeeping is unchanged)
-//   --batch[=N]       epoch-batched admission in the incremental sink (see
-//                     common options above)
 //   --sweep           saturation sweep: double the rate until p99 knees
 //   --sweep-steps N   sweep rate steps                             [6]
 //   --knee-us X       sweep p99 knee threshold in microseconds     [5000]
 
-#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <string>
 
@@ -196,7 +187,6 @@ struct CliOptions {
   std::string out_file;    // convert output operand.
   bool online = false;
   size_t gc_interval = 0;
-  size_t batch = 0;  // --batch[=N]: epoch-batched admission (0/1 = per-event)
   Backend backend = Backend::kMoss;
   size_t objects = 4;
   ObjectType object_type = ObjectType::kReadWrite;
@@ -454,15 +444,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* opt) {
                           &opt->gc_interval) ||
           opt->gc_interval == 0) {
         std::cerr << "--gc requires a positive interval\n";
-        return false;
-      }
-    } else if (a == "--batch") {
-      opt->batch = 256;
-    } else if (a.rfind("--batch=", 0) == 0) {
-      if (!ParseCountFlag("--batch", a.substr(std::strlen("--batch=")),
-                          &opt->batch) ||
-          opt->batch == 0) {
-        std::cerr << "--batch requires a positive size\n";
         return false;
       }
     } else if (a == "--save") {
@@ -769,8 +750,8 @@ int CmdAudit(const CliOptions& opt) {
 // The segment write-ahead log of an online certifier (--wal DIR): each
 // action is appended before the certifier ingests it, so a crash loses at
 // most the unsealed tail, and sealed segments whose families the GC has
-// retired are unlinked. The first disk failure latches status() and stops
-// the log; the verdict never waits on the disk.
+// retired are unlinked. The first disk failure latches the log's status and
+// stops it; the verdict never waits on the disk.
 class Wal {
  public:
   Wal(const std::string& dir, const SystemType& type) {
@@ -792,20 +773,18 @@ class Wal {
     dropped_ += n;
   }
 
-  // Seals the tail so the directory ends at a durable boundary.
-  void Seal() {
+  // Seals the tail so the directory ends at a durable boundary, then prints
+  // `label` and the log's summary. False (after a WAL FAILED line) when the
+  // log broke mid-run, e.g. on a full disk.
+  bool SealAndReport(const char* label) {
     if (status_.ok()) status_ = store_->SealActive();
-  }
-
-  const Status& status() const { return status_; }
-
-  std::string Summary() const {
-    std::ostringstream out;
-    out << appended_ << " actions logged, "
-        << (store_ != nullptr ? store_->num_sealed_segments() : 0)
-        << " segments sealed, " << dropped_ << " dropped by gc ("
-        << status_.ToString() << ")";
-    return out.str();
+    std::cout << label << appended_ << " actions logged, "
+              << (store_ != nullptr ? store_->num_sealed_segments() : 0)
+              << " segments sealed, " << dropped_ << " dropped by gc ("
+              << status_.ToString() << ")\n";
+    if (status_.ok()) return true;
+    std::cout << "WAL FAILED: " << status_.ToString() << "\n";
+    return false;
   }
 
  private:
@@ -842,21 +821,12 @@ int CmdCertify(const CliOptions& opt) {
     IncrementalCertifier cert(type, mode, gc);
     std::unique_ptr<Wal> wal;
     if (!opt.wal_dir.empty()) wal = std::make_unique<Wal>(opt.wal_dir, type);
-    // Each chunk is logged before the certifier ingests it (one IngestBatch
-    // per chunk under --batch); a GC pass inside it may free WAL segments.
-    const size_t step = std::max<size_t>(opt.batch, 1);
-    for (size_t i = 0; i < beta.size(); i += step) {
-      const std::span<const Action> chunk(beta.data() + i,
-                                          std::min(step, beta.size() - i));
-      if (wal != nullptr) {
-        for (const Action& a : chunk) wal->Append(a);
-      }
+    // Each action is logged before the certifier ingests it; a GC pass it
+    // triggers may free WAL segments.
+    for (const Action& a : beta) {
+      if (wal != nullptr) wal->Append(a);
       const uint64_t retired = cert.gc_stats().retired_families;
-      if (opt.batch > 1) {
-        cert.IngestBatch(chunk);
-      } else {
-        cert.Ingest(chunk.front());
-      }
+      cert.Ingest(a);
       if (wal != nullptr && cert.gc_stats().retired_families != retired) {
         wal->DropRetired(cert);
       }
@@ -880,23 +850,10 @@ int CmdCertify(const CliOptions& opt) {
                 << " ops pruned in " << g.runs << " passes; "
                 << cert.live_node_count() << " live nodes remain\n";
     }
-    if (opt.batch > 1) {
-      std::cout << "batching:    " << opt.batch << " actions per batch";
-      if (obs::MetricsEnabled()) {
-        const obs::BatchMetrics& bm = obs::GetBatchMetrics();
-        std::cout << "; " << bm.batches_committed->value() << " committed, "
-                  << bm.batches_bisected->value() << " replayed per-edge ("
-                  << bm.edges_committed->value() << " of "
-                  << bm.edges_staged->value() << " staged edges fresh)";
-      }
-      std::cout << "\n";
+    if (wal != nullptr && !wal->SealAndReport("wal:         ")) {
+      return kExitMismatch;
     }
-    if (wal != nullptr) {
-      wal->Seal();
-      std::cout << "wal:         " << wal->Summary() << "\n";
-      agree = agree && wal->status().ok();
-    }
-    agree = agree && v.ok() == batch.status.ok();
+    agree = v.ok() == batch.status.ok();
   }
   if (!agree) {
     std::cout << "DISAGREEMENT between certifiers\n";
@@ -965,11 +922,7 @@ int CmdChaos(const CliOptions& opt) {
 
   if (stats.crashes > 0) g_injected_crash = true;
   std::cout << "fault log: " << stats.ToString() << "\n";
-  if (wal != nullptr) {
-    wal->Seal();
-    std::cout << "wal: " << wal->Summary() << "\n";
-    if (!wal->status().ok()) return kExitMismatch;
-  }
+  if (wal != nullptr && !wal->SealAndReport("wal: ")) return kExitMismatch;
   std::cout << "clean:   " << (clean.verdict().ok() ? "ok" : "REJECTED")
             << " fingerprint=" << std::hex << clean.graph_fingerprint()
             << std::dec
@@ -1029,7 +982,7 @@ int CmdStats(const CliOptions& opt) {
   CertifierReport batch =
       CertifySeriallyCorrect(*out.type, out.sim.trace, mode);
   IncrementalCertifier cert(*out.type, mode);
-  cert.IngestTraceBatched(out.sim.trace, opt.batch);
+  cert.IngestTrace(out.sim.trace);
 
   std::cout << "backend=" << BackendName(opt.backend) << " seed=" << opt.seed
             << " events=" << out.sim.trace.size()
@@ -1089,7 +1042,6 @@ int CmdLoad(const CliOptions& opt) {
     lo.epochs = opt.epochs;
     lo.mode = mode;
     lo.gc_interval = opt.gc_interval;
-    lo.batch = opt.batch;
     lo.pace = !opt.no_pace;
     return lo;
   };
@@ -1386,6 +1338,11 @@ int main(int argc, char** argv) {
   if (!opt.wal_dir.empty() && opt.command != "chaos" &&
       !(opt.command == "certify" && opt.online)) {
     std::cerr << "--wal applies to certify --online and chaos only\n";
+    return ntsg::kExitUsage;
+  }
+  // An unusable --wal directory fails fast like every other output path;
+  // only a log that breaks mid-run (a full disk) is reported as WAL FAILED.
+  if (!opt.wal_dir.empty() && !ntsg::ValidateWritableDir(opt.wal_dir)) {
     return ntsg::kExitUsage;
   }
   if (opt.command == "isolate") {
