@@ -91,7 +91,7 @@ const DriverMetrics& GetDriverMetrics() {
 const SgBuildMetrics& GetSgBuildMetrics() {
   static const SgBuildMetrics m = {
       Reg().GetCounter("ntsg_sg_conflict_edges_emitted_total",
-                       "Distinct conflict edges emitted by frontier probes"),
+                       "Distinct conflict edges emitted by batch builds"),
       Reg().GetCounter("ntsg_sg_precedes_edges_emitted_total",
                        "Distinct precedes edges emitted by batch builds"),
       Reg().GetCounter("ntsg_sg_frontier_hits_total",

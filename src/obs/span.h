@@ -30,6 +30,9 @@ class SpanTimer {
     }
   }
 
+  /// Drops the span: nothing is observed when the scope ends.
+  void Cancel() { histogram_ = nullptr; }
+
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;
 

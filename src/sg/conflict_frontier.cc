@@ -81,10 +81,7 @@ void ObjectConflictFrontier::Emit(TxName parent, TxName from, TxName to,
                                          : DepKind::kWriteWrite;
     label_bits_[e] |= static_cast<uint8_t>(kind);
   }
-  if (dedup_.Insert(e)) {
-    ++stats_.edges_emitted;
-    out->push_back(e);
-  }
+  out->push_back(e);
 }
 
 void ObjectConflictFrontier::AddOp(TxName access, const Value& v, uint64_t pos,
@@ -136,8 +133,8 @@ void ObjectConflictFrontier::AddOp(TxName access, const Value& v, uint64_t pos,
         cs.watermark = static_cast<uint32_t>(list.entries.size());
       } else {
         // Deep reveal: the position falls inside history. Rescan in full,
-        // both directions; the dedup set absorbs re-emission. Watermarks
-        // are left alone — they only ever describe in-order consumption.
+        // both directions; the caller absorbs re-emission. Watermarks are
+        // left alone — they only ever describe in-order consumption.
         for (const ChildStat& e : list.entries) {
           if (e.child == child) continue;
           if (e.min_pos < pos) Emit(node, e.child, child, d, cu, new_edges);
@@ -260,15 +257,13 @@ void ObjectConflictFrontier::Retire(
     lists_[idx] = std::move(rebuilt);
   }
 
-  // Memoized edge verdicts naming retired families would otherwise pin their
-  // arena entries forever; the closure invariant means an edge touches a
-  // retired family iff its T0-projected endpoint does.
-  auto retired_edge = [&](const SiblingEdge& e) {
-    return RetiredScopeEdge(type, retired_roots, e);
-  };
-  dedup_.EraseIf(retired_edge);
+  // Labels naming retired families would otherwise pin their entries
+  // forever; the closure invariant means an edge touches a retired family
+  // iff its T0-projected endpoint does.
   for (auto it = label_bits_.begin(); it != label_bits_.end();) {
-    it = retired_edge(it->first) ? label_bits_.erase(it) : std::next(it);
+    it = RetiredScopeEdge(type, retired_roots, it->first)
+             ? label_bits_.erase(it)
+             : std::next(it);
   }
 }
 

@@ -16,7 +16,6 @@ namespace ntsg {
 /// never touches metrics (keeping it value-semantic and thread-confined);
 /// callers publish these after a build or an activation batch.
 struct FrontierStats {
-  uint64_t edges_emitted = 0;    // distinct sibling edges produced
   uint64_t hits = 0;             // stat entries that induced an edge candidate
   uint64_t misses = 0;           // class lists probed and found absent/empty
   uint64_t class_pair_evals = 0; // conflict verdicts computed at intern time
@@ -53,8 +52,12 @@ struct FrontierStats {
 /// remembers the prefix of entries(P, d) already consumed, so each (entry,
 /// observer) pair is scanned once — total work proportional to edge
 /// candidates, not operation pairs. Out-of-order insertion (a deep reveal in
-/// the online path) rescans the lists in full, testing both directions; the
-/// internal dedup set keeps re-emission from reaching the caller twice.
+/// the online path) rescans the lists in full, testing both directions.
+///
+/// The frontier does not deduplicate: one edge can be induced by several
+/// conflicting classes, and a rescan re-emits edges already reported. Its
+/// callers own edge identity — ConflictRelation sorts and dedups, and the
+/// online certifier's graph keeps one entry per pair.
 ///
 /// Value-semantic: copyable for certifier snapshots. Holds a pointer
 /// to the SystemType, which must outlive it.
@@ -65,17 +68,18 @@ class ObjectConflictFrontier {
 
   /// Feeds the operation (access, v) at position `pos` (its index in the
   /// object's visible-operation order; strictly increasing in batch use,
-  /// arbitrary-but-distinct online). Appends every *new* conflict edge it
-  /// induces to `new_edges`.
+  /// arbitrary-but-distinct online). Appends every conflict edge candidate
+  /// it induces to `new_edges`, including edges emitted before and repeats
+  /// within this call.
   void AddOp(TxName access, const Value& v, uint64_t pos,
              std::vector<SiblingEdge>* new_edges);
 
   /// Turns on per-edge dependency-label accumulation (DepKind bits, see
   /// conflicts.h). Off by default so the hot certification path pays
   /// nothing; the isolation-level checkers enable it before the first
-  /// AddOp. Labels are accumulated on every probe hit, *before* the dedup
-  /// set suppresses re-emission, so an edge's bitmask keeps growing as new
-  /// inducing pairs appear even after the edge itself was reported.
+  /// AddOp. Labels are accumulated on every probe hit, so an edge's
+  /// bitmask keeps growing as new inducing pairs appear even after the edge
+  /// itself was reported.
   void EnableLabels() { labels_enabled_ = true; }
   bool labels_enabled() const { return labels_enabled_; }
 
@@ -92,7 +96,7 @@ class ObjectConflictFrontier {
   /// them. Frees the (node, class) lists of interior nodes inside retired
   /// families, filters retired children out of the T0-level lists (remapping
   /// the in-order watermarks past the removed prefix entries), and drops
-  /// memoized edge verdicts touching retired names. Class definitions are
+  /// edge labels touching retired names. Class definitions are
   /// kept: they are object-type-global, not per-family (see DESIGN.md §10
   /// on the kCommutativity residual).
   void Retire(const std::unordered_set<TxName>& retired_roots);
@@ -151,7 +155,6 @@ class ObjectConflictFrontier {
   std::vector<ClassList> lists_;
   std::vector<uint32_t> free_lists_;  // indices in lists_ freed by Retire
 
-  SiblingEdgeSet dedup_;
   bool labels_enabled_ = false;
   std::map<SiblingEdge, uint8_t> label_bits_;
   uint64_t max_pos_ = 0;

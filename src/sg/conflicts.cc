@@ -46,15 +46,14 @@ std::vector<std::vector<Operation>> VisibleOpsByObject(const SystemType& type,
   return per_object;
 }
 
-/// Runs one object's operations through `frontier` and folds its work
-/// tallies into the build metrics.
+/// Runs one object's operations through `frontier`, appending every edge
+/// candidate to `out`, and folds its work tallies into the build metrics.
 void RunFrontier(ObjectConflictFrontier& frontier,
                  const std::vector<Operation>& ops,
                  std::vector<SiblingEdge>* out) {
   uint64_t pos = 0;
   for (const Operation& op : ops) frontier.AddOp(op.tx, op.value, pos++, out);
   const obs::SgBuildMetrics& metrics = obs::GetSgBuildMetrics();
-  metrics.conflict_edges_emitted->Inc(frontier.stats().edges_emitted);
   metrics.frontier_hits->Inc(frontier.stats().hits);
   metrics.frontier_misses->Inc(frontier.stats().misses);
   metrics.class_pair_evals->Inc(frontier.stats().class_pair_evals);
@@ -75,10 +74,12 @@ std::vector<SiblingEdge> ConflictRelation(const SystemType& type,
     RunFrontier(frontier, per_object[x], &edges);
   }
 
-  // Canonical order; distinct objects can induce the same sibling edge, so
-  // dedup across objects here (each frontier already dedups within one).
+  // Canonical order, and the one dedup: a frontier repeats an edge that
+  // several conflicting classes induce, and distinct objects can induce the
+  // same sibling edge.
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  obs::GetSgBuildMetrics().conflict_edges_emitted->Inc(edges.size());
   return edges;
 }
 
@@ -96,6 +97,7 @@ std::vector<LabeledSiblingEdge> LabeledConflictRelation(const SystemType& type,
     if (per_object[x].empty()) continue;
     ObjectConflictFrontier frontier(type, mode, x);
     frontier.EnableLabels();
+    scratch.clear();  // the labels carry the edges
     RunFrontier(frontier, per_object[x], &scratch);
     for (const auto& [edge, kinds] : frontier.edge_label_bits()) {
       EdgeLabel& label = merged[edge];
@@ -111,6 +113,7 @@ std::vector<LabeledSiblingEdge> LabeledConflictRelation(const SystemType& type,
   for (const auto& [edge, label] : merged) {
     edges.push_back(LabeledSiblingEdge{edge, label});
   }
+  obs::GetSgBuildMetrics().conflict_edges_emitted->Inc(edges.size());
   return edges;
 }
 

@@ -104,7 +104,8 @@ bool AccessOpsConflict(const SystemType& type, ConflictMode mode, TxName u,
 /// SerialPart first for generic behaviors).
 ///
 /// Built per object by ObjectConflictFrontier (work proportional to edge
-/// candidates, not operation pairs; see conflict_frontier.h).
+/// candidates, not operation pairs; see conflict_frontier.h); the
+/// candidates of every object are then sorted and deduplicated once.
 ///
 /// Ordering guarantee: the returned vector is deduplicated and sorted by
 /// (parent, from, to). FingerprintSerializationGraph and the adjacency

@@ -19,14 +19,16 @@ inline uint64_t HashMix64(uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Open-addressing hash map from a 64-bit key to a dense uint32 index, the
-/// workhorse lookup of the conflict frontier. Keys are exact (no collision
-/// folding): callers pack at most two 32-bit ids into the key. Linear
-/// probing, power-of-two capacity, value-semantic (copyable for certifier
-/// snapshots). The all-ones key is reserved as the empty sentinel and the
-/// value just below it as the erase tombstone; erasure (the GC retirement
-/// path) tombstones the cell so later probe chains stay intact, and the
-/// table rehashes tombstones away once they would dominate the load.
+/// Open-addressing hash map from a 64-bit key to a uint32 value (a dense
+/// index, or the online graph's per-pair flag bits), the workhorse lookup
+/// of the conflict frontier and of IncrementalTopoGraph. Keys are exact (no
+/// collision folding): callers pack at most two 32-bit ids into the key.
+/// Linear probing, power-of-two capacity, value-semantic (copyable for
+/// certifier snapshots). The all-ones key is reserved as the empty sentinel
+/// and the value just below it as the erase tombstone; erasure (the GC
+/// retirement path) tombstones the cell so later probe chains stay intact,
+/// and the table rehashes tombstones away once they would dominate the
+/// load.
 class FlatIndexMap {
  public:
   static constexpr uint32_t kNotFound = 0xFFFFFFFFu;
@@ -65,13 +67,15 @@ class FlatIndexMap {
     }
   }
 
-  /// Removes `key` if present; returns true iff it was. The cell becomes a
-  /// tombstone (probe chains through it survive) until the next rehash.
-  bool Erase(uint64_t key) {
+  /// Removes `key` if present, storing its value in `*value` (if non-null);
+  /// returns true iff it was. The cell becomes a tombstone (probe chains
+  /// through it survive) until the next rehash.
+  bool Erase(uint64_t key, uint32_t* value = nullptr) {
     if (cells_.empty()) return false;
     for (size_t i = HashMix64(key) & mask_;; i = (i + 1) & mask_) {
       if (cells_[i].key == kEmptyKey) return false;
       if (cells_[i].key == key) {
+        if (value != nullptr) *value = cells_[i].value;
         cells_[i].key = kTombKey;
         --size_;
         ++tombs_;
@@ -131,159 +135,49 @@ class FlatIndexMap {
 
 /// Deduplicating set of sibling edges: an insertion-ordered arena of edges
 /// plus an open-addressing slot table over it. Replaces std::set<SiblingEdge>
-/// on the construction hot paths — O(1) expected insert, no node allocations,
-/// value-semantic (copyable for certifier snapshots).
-///
-/// Erasure (the GC retirement path) tombstones the slot and turns the arena
-/// entry into a dead sentinel (`parent == kInvalidTx`) so surviving arena
-/// indices stay valid; the arena compacts in stable order once dead entries
-/// would dominate. `edges()` exposes the raw arena, sentinels included —
-/// iterate with `ForEach` (or skip `parent == kInvalidTx`) after erasures.
+/// on the batch construction paths — O(1) expected insert, no node
+/// allocations, value-semantic. Insert-only: the online certifier, whose GC
+/// retires edges, keeps its edges in IncrementalTopoGraph instead.
 class SiblingEdgeSet {
  public:
   /// Inserts `e` if absent; returns true iff it was new.
   bool Insert(const SiblingEdge& e) {
     NTSG_CHECK_NE(e.parent, kInvalidTx);
     if (edges_.size() + 1 > (slots_.size() * 3) / 4) Grow();
-    size_t tomb = SIZE_MAX;
     for (size_t i = Hash(e) & mask_;; i = (i + 1) & mask_) {
       if (slots_[i] == kEmptySlot) {
-        if (tomb != SIZE_MAX) i = tomb;
         slots_[i] = static_cast<uint32_t>(edges_.size());
         edges_.push_back(e);
         return true;
-      }
-      if (slots_[i] == kTombSlot) {
-        if (tomb == SIZE_MAX) tomb = i;
-        continue;
       }
       if (edges_[slots_[i]] == e) return false;
     }
   }
 
-  bool Contains(const SiblingEdge& e) const {
-    if (slots_.empty()) return false;
-    for (size_t i = Hash(e) & mask_;; i = (i + 1) & mask_) {
-      if (slots_[i] == kEmptySlot) return false;
-      if (slots_[i] == kTombSlot) continue;
-      if (edges_[slots_[i]] == e) return true;
-    }
-  }
+  size_t size() const { return edges_.size(); }
+  bool empty() const { return edges_.empty(); }
 
-  /// Removes `e` if present; returns true iff it was. The arena entry
-  /// becomes a dead sentinel until the next compaction, so indices held by
-  /// concurrent readers of `edges()` are never shifted by an erase.
-  bool Erase(const SiblingEdge& e) {
-    if (slots_.empty()) return false;
-    for (size_t i = Hash(e) & mask_;; i = (i + 1) & mask_) {
-      if (slots_[i] == kEmptySlot) return false;
-      if (slots_[i] == kTombSlot) continue;
-      if (edges_[slots_[i]] == e) {
-        edges_[slots_[i]] = kDeadEdge();
-        slots_[i] = kTombSlot;
-        ++dead_;
-        MaybeCompact();
-        return true;
-      }
-    }
-  }
-
-  /// Removes every edge for which `pred` returns true; returns the number
-  /// removed. Surviving edges keep their relative insertion order.
-  template <typename Pred>
-  size_t EraseIf(Pred&& pred) {
-    size_t removed = 0;
-    for (SiblingEdge& e : edges_) {
-      if (e.parent == kInvalidTx) continue;
-      if (pred(static_cast<const SiblingEdge&>(e))) {
-        e = kDeadEdge();
-        ++removed;
-      }
-    }
-    if (removed > 0) {
-      dead_ += removed;
-      Compact();
-    }
-    return removed;
-  }
-
-  /// Visits live edges in insertion order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const SiblingEdge& e : edges_) {
-      if (e.parent != kInvalidTx) fn(e);
-    }
-  }
-
-  size_t size() const { return edges_.size() - dead_; }
-  bool empty() const { return size() == 0; }
-
-  /// Raw arena in insertion order (stable across runs only if insertions
-  /// are). After erasures it contains dead sentinels with
-  /// `parent == kInvalidTx`; callers must skip them.
-  const std::vector<SiblingEdge>& edges() const { return edges_; }
-
-  /// Live edges sorted by (parent, from, to) — the canonical order every
-  /// public relation returns and the fingerprinter consumes.
+  /// Edges sorted by (parent, from, to) — the canonical order every public
+  /// relation returns and the fingerprinter consumes.
   std::vector<SiblingEdge> SortedEdges() const {
-    std::vector<SiblingEdge> out;
-    out.reserve(size());
-    for (const SiblingEdge& e : edges_) {
-      if (e.parent != kInvalidTx) out.push_back(e);
-    }
+    std::vector<SiblingEdge> out = edges_;
     std::sort(out.begin(), out.end());
     return out;
   }
 
-  void clear() {
-    edges_.clear();
-    dead_ = 0;
-    slots_.assign(slots_.size(), kEmptySlot);
-  }
-
-  /// Dead arena entries awaiting compaction; exposed for the container tests.
-  size_t dead() const { return dead_; }
-
  private:
   static constexpr uint32_t kEmptySlot = 0xFFFFFFFFu;
-  static constexpr uint32_t kTombSlot = 0xFFFFFFFEu;
-
-  static SiblingEdge kDeadEdge() {
-    return SiblingEdge{kInvalidTx, kInvalidTx, kInvalidTx};
-  }
 
   static uint64_t Hash(const SiblingEdge& e) {
     uint64_t k = (uint64_t{e.parent} << 32) | e.from;
     return HashMix64(k ^ HashMix64(e.to));
   }
 
-  void MaybeCompact() {
-    if (dead_ >= 16 && dead_ * 2 > edges_.size()) Compact();
-  }
-
-  /// Stable-order rebuild of the arena without dead sentinels, then a full
-  /// slot-table rebuild (which also drops every slot tombstone).
-  void Compact() {
-    std::vector<SiblingEdge> live;
-    live.reserve(edges_.size() - dead_);
-    for (const SiblingEdge& e : edges_) {
-      if (e.parent != kInvalidTx) live.push_back(e);
-    }
-    edges_ = std::move(live);
-    dead_ = 0;
-    if (slots_.empty()) return;
-    Rehash(slots_.size());
-  }
-
   void Grow() {
-    Rehash(slots_.empty() ? 32 : slots_.size() * 2);
-  }
-
-  void Rehash(size_t cap) {
+    const size_t cap = slots_.empty() ? 32 : slots_.size() * 2;
     slots_.assign(cap, kEmptySlot);
     mask_ = cap - 1;
     for (size_t idx = 0; idx < edges_.size(); ++idx) {
-      if (edges_[idx].parent == kInvalidTx) continue;
       for (size_t i = Hash(edges_[idx]) & mask_;; i = (i + 1) & mask_) {
         if (slots_[i] == kEmptySlot) {
           slots_[i] = static_cast<uint32_t>(idx);
@@ -296,7 +190,6 @@ class SiblingEdgeSet {
   std::vector<SiblingEdge> edges_;
   std::vector<uint32_t> slots_;
   size_t mask_ = 0;
-  size_t dead_ = 0;
 };
 
 }  // namespace ntsg

@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "common/logging.h"
@@ -146,35 +147,68 @@ std::optional<std::map<TxName, std::vector<TxName>>> FastTopologicalOrders(
 }
 
 uint32_t IncrementalTopoGraph::Slot(TxName t) {
-  auto it = slot_.find(t);
-  if (it != slot_.end()) return it->second;
-  uint32_t s;
-  if (!free_slots_.empty()) {
-    s = free_slots_.back();
+  const uint32_t fresh = free_slots_.empty()
+                             ? static_cast<uint32_t>(nodes_.size())
+                             : free_slots_.back();
+  const uint32_t s = *slot_.FindOrInsert(t, fresh);
+  if (s != fresh) return s;
+  if (free_slots_.empty()) {
+    nodes_.push_back(Node{{}, {}, next_ord_++, t});
+  } else {
     free_slots_.pop_back();
     nodes_[s] = Node{{}, {}, next_ord_++, t};
-  } else {
-    s = static_cast<uint32_t>(nodes_.size());
-    nodes_.push_back(Node{{}, {}, next_ord_++, t});
   }
-  slot_.emplace(t, s);
   return s;
 }
 
 bool IncrementalTopoGraph::HasEdge(TxName from, TxName to) const {
-  return edges_.count(EdgeKey(from, to)) != 0;
+  const uint32_t bits = edges_.Find(EdgeKey(from, to));
+  return bits != FlatIndexMap::kNotFound && (bits & kAdmittedBit) != 0;
 }
 
 std::optional<uint64_t> IncrementalTopoGraph::OrdOf(TxName t) const {
-  auto it = slot_.find(t);
-  if (it == slot_.end()) return std::nullopt;
-  return nodes_[it->second].ord;
+  const uint32_t s = slot_.Find(t);
+  if (s == FlatIndexMap::kNotFound) return std::nullopt;
+  return nodes_[s].ord;
+}
+
+IncrementalTopoGraph::TagResult IncrementalTopoGraph::AddTaggedEdge(
+    TxName from, TxName to, uint8_t tag) {
+  NTSG_CHECK(tag == kConflictTag || tag == kPrecedesTag);
+  // Admit touches only the slab and slot_, so this pointer into edges_
+  // stays valid across it.
+  uint32_t* bits = edges_.FindOrInsert(EdgeKey(from, to), 0);
+  if ((*bits & tag) != 0) return TagResult::kKnown;
+  const bool refused_before = *bits != 0 && (*bits & kAdmittedBit) == 0;
+  *bits |= tag;
+  ++(tag == kConflictTag ? conflict_count_ : precedes_count_);
+  if ((*bits & kAdmittedBit) != 0) return TagResult::kAdmitted;
+  if (!Admit(from, to)) {
+    if (!refused_before) ++refused_count_;
+    return TagResult::kRefused;
+  }
+  *bits |= kAdmittedBit;
+  ++admitted_count_;
+  if (refused_before) --refused_count_;
+  return TagResult::kAdmitted;
 }
 
 bool IncrementalTopoGraph::AddEdge(TxName from, TxName to) {
   if (from == to) return false;
-  uint64_t key = EdgeKey(from, to);
-  if (edges_.count(key) != 0) return true;
+  const uint64_t key = EdgeKey(from, to);
+  const uint32_t bits = edges_.Find(key);
+  if (bits != FlatIndexMap::kNotFound && (bits & kAdmittedBit) != 0) {
+    return true;
+  }
+  if (!Admit(from, to)) return false;
+  *edges_.FindOrInsert(key, 0) |= kAdmittedBit;
+  ++admitted_count_;
+  if (bits != FlatIndexMap::kNotFound) --refused_count_;
+  return true;
+}
+
+bool IncrementalTopoGraph::Admit(TxName from, TxName to) {
+  if (from == to) return false;
   uint32_t sx = Slot(from);
   uint32_t sy = Slot(to);
 
@@ -238,17 +272,26 @@ bool IncrementalTopoGraph::AddEdge(TxName from, TxName to) {
 
   nodes_[sx].out.push_back(sy);
   nodes_[sy].in.push_back(sx);
-  edges_.insert(key);
   return true;
+}
+
+void IncrementalTopoGraph::ForgetAdmitted(TxName from, TxName to) {
+  uint32_t bits = 0;
+  NTSG_CHECK(edges_.Erase(EdgeKey(from, to), &bits) &&
+             (bits & kAdmittedBit) != 0)
+      << "edge map and adjacency lists diverged on removal";
+  if ((bits & kConflictTag) != 0) --conflict_count_;
+  if ((bits & kPrecedesTag) != 0) --precedes_count_;
+  --admitted_count_;
 }
 
 std::vector<TxName> IncrementalTopoGraph::FindPath(TxName from,
                                                    TxName to) const {
-  auto itf = slot_.find(from);
-  auto itt = slot_.find(to);
-  if (itf == slot_.end() || itt == slot_.end()) return {};
-  const uint32_t sf = itf->second;
-  const uint32_t st = itt->second;
+  const uint32_t sf = slot_.Find(from);
+  const uint32_t st = slot_.Find(to);
+  if (sf == FlatIndexMap::kNotFound || st == FlatIndexMap::kNotFound) {
+    return {};
+  }
   if (sf == st) return {from};
 
   // BFS with parent pointers: the witness is a shortest path, and the
@@ -286,16 +329,17 @@ void IncrementalTopoGraph::RemoveEdge(TxName from, TxName to) {
   // No kEdgeRemoved here: the SGT coordinator also calls RemoveEdge to roll
   // back trial insertions, which are not real expunges — the semantic
   // removal event is emitted by the caller that owns the edge's meaning.
-  if (edges_.erase(EdgeKey(from, to)) == 0) return;
-  uint32_t sx = slot_.at(from);
-  uint32_t sy = slot_.at(to);
-  // The key was in edges_, so both adjacency lists must hold the edge; if
+  if (!HasEdge(from, to)) return;
+  ForgetAdmitted(from, to);
+  const uint32_t sx = slot_.Find(from);
+  const uint32_t sy = slot_.Find(to);
+  // The pair was admitted, so both adjacency lists must hold the edge; if
   // they diverged (a partially restored snapshot, a future refactor bug),
   // dereferencing find()'s end() here would be UB — fail loudly instead.
   auto drop = [](std::vector<uint32_t>& v, uint32_t target) {
     auto it = std::find(v.begin(), v.end(), target);
     NTSG_CHECK(it != v.end())
-        << "edge set and adjacency lists diverged on removal";
+        << "edge map and adjacency lists diverged on removal";
     *it = v.back();
     v.pop_back();
   };
@@ -304,9 +348,18 @@ void IncrementalTopoGraph::RemoveEdge(TxName from, TxName to) {
 }
 
 void IncrementalTopoGraph::RemoveNode(TxName t) {
-  auto it = slot_.find(t);
-  if (it == slot_.end()) return;
-  const uint32_t s = it->second;
+  const uint32_t s = slot_.Find(t);
+  if (s == FlatIndexMap::kNotFound) return;
+  if (refused_count_ != 0) {
+    // A refused pair lives only in edges_, where this walk cannot reach
+    // it; removing one of its endpoints would strand its tags.
+    edges_.ForEach([t](uint64_t key, uint32_t bits) {
+      NTSG_CHECK((bits & kAdmittedBit) != 0 ||
+                 (static_cast<TxName>(key >> 32) != t &&
+                  static_cast<TxName>(key) != t))
+          << "RemoveNode(" << t << ") would strand a refused pair";
+    });
+  }
   // Unlike RemoveEdge's swap-pop (safe there: the caller owns both ends),
   // neighbor lists are erased in place. Retired nodes may have live
   // successors, and a live node's `in` list feeds AddEdge's backward search
@@ -316,38 +369,38 @@ void IncrementalTopoGraph::RemoveNode(TxName t) {
   auto erase_stable = [](std::vector<uint32_t>& v, uint32_t target) {
     auto pos = std::find(v.begin(), v.end(), target);
     NTSG_CHECK(pos != v.end())
-        << "edge set and adjacency lists diverged on node removal";
+        << "edge map and adjacency lists diverged on node removal";
     v.erase(pos);
   };
   for (uint32_t succ : nodes_[s].out) {
-    NTSG_CHECK_EQ(edges_.erase(EdgeKey(t, nodes_[succ].name)), 1u);
+    ForgetAdmitted(t, nodes_[succ].name);
     erase_stable(nodes_[succ].in, s);
   }
   for (uint32_t pred : nodes_[s].in) {
-    NTSG_CHECK_EQ(edges_.erase(EdgeKey(nodes_[pred].name, t)), 1u);
+    ForgetAdmitted(nodes_[pred].name, t);
     erase_stable(nodes_[pred].out, s);
   }
   // Release the adjacency storage now (slab reuse only clears it), so a
   // retired high-degree node does not pin its peak allocation forever.
   nodes_[s].out = {};
   nodes_[s].in = {};
-  slot_.erase(it);
+  NTSG_CHECK(slot_.Erase(t));
   free_slots_.push_back(s);
 }
 
 std::vector<TxName> IncrementalTopoGraph::InNeighbors(TxName t) const {
-  auto it = slot_.find(t);
-  if (it == slot_.end()) return {};
+  const uint32_t s = slot_.Find(t);
+  if (s == FlatIndexMap::kNotFound) return {};
   std::vector<TxName> preds;
-  preds.reserve(nodes_[it->second].in.size());
-  for (uint32_t p : nodes_[it->second].in) preds.push_back(nodes_[p].name);
+  preds.reserve(nodes_[s].in.size());
+  for (uint32_t p : nodes_[s].in) preds.push_back(nodes_[p].name);
   return preds;
 }
 
 void IncrementalTopoGraph::CompactOrders() {
   std::vector<uint32_t> live;
   live.reserve(slot_.size());
-  for (const auto& [t, s] : slot_) live.push_back(s);
+  slot_.ForEach([&live](uint64_t, uint32_t s) { live.push_back(s); });
   std::sort(live.begin(), live.end(), [this](uint32_t a, uint32_t b) {
     return nodes_[a].ord < nodes_[b].ord;
   });

@@ -4,11 +4,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sg/conflicts.h"
+#include "sg/edge_set.h"
 
 namespace ntsg {
 
@@ -65,32 +64,62 @@ std::optional<std::map<TxName, std::vector<TxName>>> FastTopologicalOrders(
 /// since every edge stays inside one component, keeping them in a single
 /// shared order loses nothing — the union is acyclic iff each component is.
 ///
+/// It is also the online certifier's one owner of edge identity. A sibling
+/// edge's parent is parent(from), so the pair (from, to) is its whole
+/// identity, and one flat map records per pair the relations it belongs to
+/// (kConflictTag, kPrecedesTag) and whether it was admitted to the
+/// adjacency. A pair whose first offer would have closed a cycle keeps its
+/// tags — it is still a member of conflict(β) or precedes(β), so it is
+/// counted and walked by ForEachTagged — but stays out of the adjacency;
+/// offering it under its other relation retries admission.
+///
 /// Edge removal (needed when an SGT abort expunges supporting operations)
 /// keeps the current order untouched: any topological order of a graph
 /// remains valid for every subgraph.
 ///
 /// Node removal (the GC retirement path) reclaims the node's slab slot for
-/// reuse and erases every incident edge; combined with CompactOrders it
-/// keeps both the slab and the order-key space bounded by the live node
-/// count on an unbounded stream.
+/// reuse and erases every incident edge with its tags; combined with
+/// CompactOrders it keeps the slab, the pair map and the order-key space
+/// bounded by the live population on an unbounded stream.
 class IncrementalTopoGraph {
  public:
+  /// Relation tags a pair can carry; a pair in both relations carries both.
+  static constexpr uint8_t kConflictTag = 1;
+  static constexpr uint8_t kPrecedesTag = 2;
+
+  /// Outcome of AddTaggedEdge.
+  enum class TagResult : uint8_t {
+    kKnown,     // the pair already carried the tag; nothing changed
+    kAdmitted,  // the tag is new and the edge is in the adjacency
+    kRefused,   // the tag is new but the edge would close a cycle
+  };
+
+  /// Records that from -> to belongs to the relation `tag`. A tag new to
+  /// the pair counts in tagged_count(tag); if the pair is not yet in the
+  /// adjacency, admission is tried exactly as AddEdge does. Adjacency order
+  /// is therefore the order in which pairs are first admitted.
+  TagResult AddTaggedEdge(TxName from, TxName to, uint8_t tag);
+
   /// Adds the edge from -> to. Returns false iff the edge would close a
   /// cycle (including from == to); the graph is unchanged in that case.
   /// Adding an edge that is already present is a no-op returning true.
   bool AddEdge(TxName from, TxName to);
 
+  /// True iff from -> to is in the adjacency (refused pairs are not).
   bool HasEdge(TxName from, TxName to) const;
 
-  /// Removes the edge if present (no-op otherwise). Never invalidates the
-  /// maintained order.
+  /// Removes the edge and forgets its tags if it is in the adjacency (no-op
+  /// otherwise). Never invalidates the maintained order.
   void RemoveEdge(TxName from, TxName to);
 
-  /// Removes the node and every incident edge (no-op if never seen). The
-  /// slab slot is recycled for the next new node. Neighbor adjacency lists
-  /// are erased order-preservingly so FindPath's deterministic successor
-  /// exploration over the survivors is unchanged. Never invalidates the
-  /// maintained order (a subgraph keeps every topological order valid).
+  /// Removes the node and every incident edge with its tags (no-op if never
+  /// seen). The slab slot is recycled for the next new node. Neighbor
+  /// adjacency lists are erased order-preservingly so FindPath's
+  /// deterministic successor exploration over the survivors is unchanged.
+  /// Never invalidates the maintained order (a subgraph keeps every
+  /// topological order valid). Refused pairs are not in the adjacency, so
+  /// the node must touch none (the certifier's GC stands down at the first
+  /// refusal); this is checked.
   void RemoveNode(TxName t);
 
   /// In-neighbors of `t` (empty if never seen), in edge-insertion order.
@@ -115,9 +144,27 @@ class IncrementalTopoGraph {
   /// rejected edge is the cycle that insertion would have closed.
   std::vector<TxName> FindPath(TxName from, TxName to) const;
 
+  /// Visits every tagged pair, refused ones included, as fn(from, to, tags)
+  /// in unspecified order. The graph must not be mutated during the walk.
+  template <typename Fn>
+  void ForEachTagged(Fn&& fn) const {
+    edges_.ForEach([&fn](uint64_t key, uint32_t bits) {
+      const uint8_t tags = static_cast<uint8_t>(bits & kTagMask);
+      if (tags != 0) {
+        fn(static_cast<TxName>(key >> 32), static_cast<TxName>(key), tags);
+      }
+    });
+  }
+
+  /// Pairs carrying `tag` (one of the two tag constants), refused included.
+  size_t tagged_count(uint8_t tag) const {
+    return tag == kConflictTag ? conflict_count_ : precedes_count_;
+  }
+
   /// Live nodes (slab slots on the free list are not counted).
   size_t node_count() const { return slot_.size(); }
-  size_t edge_count() const { return edges_.size(); }
+  /// Edges in the adjacency; refused pairs are not counted.
+  size_t edge_count() const { return admitted_count_; }
   /// Slab capacity including recycled slots. Slot reuse keeps it at the
   /// peak live node count (topo_removal_test's churn case asserts this).
   size_t slab_count() const { return nodes_.size(); }
@@ -132,6 +179,10 @@ class IncrementalTopoGraph {
     TxName name;
   };
 
+  /// Per-pair bits in edges_: the relation tags plus the admitted bit.
+  static constexpr uint32_t kTagMask = kConflictTag | kPrecedesTag;
+  static constexpr uint32_t kAdmittedBit = 4;
+
   static uint64_t EdgeKey(TxName from, TxName to) {
     static_assert(sizeof(TxName) <= sizeof(uint32_t),
                   "EdgeKey packs two TxNames into one uint64; widen the key "
@@ -141,11 +192,21 @@ class IncrementalTopoGraph {
 
   /// Slot of `t`, creating the node (at the end of the order) on first use.
   uint32_t Slot(TxName t);
+  /// Pearce–Kelly admission of from -> to into the adjacency; false (and
+  /// the adjacency and order unchanged) iff it would close a cycle.
+  /// Touches neither edges_ nor the counters.
+  bool Admit(TxName from, TxName to);
+  /// Erases the admitted pair's entry and its tag counts.
+  void ForgetAdmitted(TxName from, TxName to);
 
   std::vector<Node> nodes_;
   std::vector<uint32_t> free_slots_;
-  std::unordered_map<TxName, uint32_t> slot_;
-  std::unordered_set<uint64_t> edges_;
+  FlatIndexMap slot_;   // TxName -> slab slot
+  FlatIndexMap edges_;  // EdgeKey -> tag and admitted bits
+  size_t conflict_count_ = 0;
+  size_t precedes_count_ = 0;
+  size_t admitted_count_ = 0;
+  size_t refused_count_ = 0;  // tagged pairs outside the adjacency
   uint64_t next_ord_ = 0;
 };
 

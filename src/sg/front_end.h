@@ -129,7 +129,7 @@ class VisibilityTracker {
 /// the commit-watermark collector (DESIGN.md §10): the late-event filter,
 /// the family book, the watermark and blocked set, the predecessor closure,
 /// the retirement of its own state, and the GcStats. The consumer keeps the
-/// graph, the edge sets and the per-object states, and drives a pass as
+/// graph and the per-object states, and drives a pass as
 ///
 ///   roots = RetirableRoots(graph, BeginGcPass());
 ///   RetireFamilies(roots, remove_node);   // then prune its own state

@@ -1,5 +1,6 @@
 #include "sg/incremental_certifier.h"
 
+#include <algorithm>
 #include <iterator>
 #include <utility>
 
@@ -135,8 +136,6 @@ IncrementalCertifier::IncrementalCertifier(const IncrementalCertifier& other)
       mode_(other.mode_),
       front_(other.front_),
       illegal_objects_(other.illegal_objects_),
-      conflict_edges_(other.conflict_edges_),
-      precedes_edges_(other.precedes_edges_),
       graph_(other.graph_),
       acyclic_(other.acyclic_),
       first_rejection_pos_(other.first_rejection_pos_),
@@ -158,8 +157,6 @@ IncrementalCertifier& IncrementalCertifier::operator=(
   front_ = std::move(copy.front_);
   objects_ = std::move(copy.objects_);
   illegal_objects_ = copy.illegal_objects_;
-  conflict_edges_ = std::move(copy.conflict_edges_);
-  precedes_edges_ = std::move(copy.precedes_edges_);
   graph_ = std::move(copy.graph_);
   acyclic_ = copy.acyclic_;
   first_rejection_pos_ = copy.first_rejection_pos_;
@@ -192,42 +189,45 @@ void IncrementalCertifier::OnVisibleOp(uint64_t pos, TxName tx,
                                        const Value& v) {
   ObjectIngestState& state = ObjectState(type_->ObjectOf(tx));
   bool was_legal = state.legal();
-  // The frontier performs the lca / child-toward mapping itself and dedups
-  // within the object; the certifier-level set dedups across objects. Member
-  // scratch: this runs once per activated op and is not re-entered (the
-  // AddGraphEdge below never fires another activation).
+  // The frontier performs the lca / child-toward mapping itself and emits
+  // every candidate; the graph is the one dedup. Member scratch: this runs
+  // once per activated op and is not re-entered (the AddGraphEdge below
+  // never fires another activation).
   edge_scratch_.clear();
   state.InsertVisibleOp(pos, tx, v, &edge_scratch_);
   if (was_legal != state.legal()) {
     illegal_objects_ += was_legal ? 1 : -1;
   }
   for (const SiblingEdge& e : edge_scratch_) {
-    if (conflict_edges_.Insert(e)) {
-      obs::GetCertifierMetrics().conflict_edges->Inc();
-      AddGraphEdge(e.parent, e.from, e.to, /*is_conflict=*/true);
-    }
+    AddGraphEdge(e.parent, e.from, e.to, IncrementalTopoGraph::kConflictTag);
   }
 }
 
 void IncrementalCertifier::OnPrecedes(TxName parent, TxName from,
                                       TxName to) {
-  if (precedes_edges_.Insert(SiblingEdge{parent, from, to})) {
-    obs::GetCertifierMetrics().precedes_edges->Inc();
-    AddGraphEdge(parent, from, to, /*is_conflict=*/false);
-  }
+  AddGraphEdge(parent, from, to, IncrementalTopoGraph::kPrecedesTag);
 }
 
 void IncrementalCertifier::AddGraphEdge(TxName parent, TxName from, TxName to,
-                                        bool is_conflict) {
-  obs::SpanTimer span(obs::GetCertifierMetrics().edge_insert_us);
-  uint8_t relation =
+                                        uint8_t tag) {
+  const obs::CertifierMetrics& metrics = obs::GetCertifierMetrics();
+  obs::SpanTimer span(metrics.edge_insert_us);
+  const IncrementalTopoGraph::TagResult result =
+      graph_.AddTaggedEdge(from, to, tag);
+  if (result == IncrementalTopoGraph::TagResult::kKnown) {
+    span.Cancel();  // a repeat of a known pair is not an edge insertion
+    return;
+  }
+  const bool is_conflict = tag == IncrementalTopoGraph::kConflictTag;
+  (is_conflict ? metrics.conflict_edges : metrics.precedes_edges)->Inc();
+  const uint8_t relation =
       is_conflict ? obs::kTraceFlagConflict : obs::kTraceFlagPrecedes;
-  if (graph_.AddEdge(from, to)) {
+  if (result == IncrementalTopoGraph::TagResult::kAdmitted) {
     obs::TraceEmit(obs::TraceEventKind::kEdgeInserted, parent, from, to,
                    relation);
     return;
   }
-  obs::GetCertifierMetrics().cycle_rejections->Inc();
+  metrics.cycle_rejections->Inc();
   obs::TraceEmit(obs::TraceEventKind::kEdgeRejected, parent, from, to,
                  relation);
   if (acyclic_) {
@@ -251,25 +251,36 @@ void IncrementalCertifier::NoteVerdict() {
   }
 }
 
-uint64_t IncrementalCertifier::graph_fingerprint() const {
-  // The fingerprinter wants strictly increasing edge order; the flat sets
-  // record insertion order, so sort first.
+template <typename Keep>
+uint64_t IncrementalCertifier::FingerprintTagged(Keep&& keep) const {
+  // The fingerprinter wants each relation in strictly increasing edge
+  // order; the pair map has none, so collect and sort.
+  std::vector<SiblingEdge> conflict, precedes;
+  conflict.reserve(conflict_edge_count());
+  precedes.reserve(precedes_edge_count());
+  graph_.ForEachTagged([&](TxName from, TxName to, uint8_t tags) {
+    const SiblingEdge e{type_->parent(from), from, to};
+    if (!keep(e)) return;
+    if ((tags & IncrementalTopoGraph::kConflictTag) != 0) conflict.push_back(e);
+    if ((tags & IncrementalTopoGraph::kPrecedesTag) != 0) precedes.push_back(e);
+  });
+  std::sort(conflict.begin(), conflict.end());
+  std::sort(precedes.begin(), precedes.end());
   GraphFingerprinter fp;
-  for (const SiblingEdge& e : conflict_edges_.SortedEdges()) fp.AddConflict(e);
-  for (const SiblingEdge& e : precedes_edges_.SortedEdges()) fp.AddPrecedes(e);
+  for (const SiblingEdge& e : conflict) fp.AddConflict(e);
+  for (const SiblingEdge& e : precedes) fp.AddPrecedes(e);
   return fp.Finish();
+}
+
+uint64_t IncrementalCertifier::graph_fingerprint() const {
+  return FingerprintTagged([](const SiblingEdge&) { return true; });
 }
 
 uint64_t IncrementalCertifier::FingerprintLiveScope(
     const std::unordered_set<TxName>& retired_roots) const {
-  GraphFingerprinter fp;
-  for (const SiblingEdge& e : conflict_edges_.SortedEdges()) {
-    if (!RetiredScopeEdge(*type_, retired_roots, e)) fp.AddConflict(e);
-  }
-  for (const SiblingEdge& e : precedes_edges_.SortedEdges()) {
-    if (!RetiredScopeEdge(*type_, retired_roots, e)) fp.AddPrecedes(e);
-  }
-  return fp.Finish();
+  return FingerprintTagged([&](const SiblingEdge& e) {
+    return !RetiredScopeEdge(*type_, retired_roots, e);
+  });
 }
 
 void IncrementalCertifier::RunGc() {
@@ -288,20 +299,14 @@ void IncrementalCertifier::RunGc() {
 }
 
 void IncrementalCertifier::RetireFamilies(const std::vector<TxName>& roots) {
+  // Every edge in the retired scope touches a retired name (sibling edges
+  // never cross a parent boundary), so removing the nodes drops exactly
+  // those edges and their relation tags.
   front_.RetireFamilies(roots, [this](TxName t) {
     size_t before = graph_.node_count();
     graph_.RemoveNode(t);
     return before - graph_.node_count();
   });
-
-  // Memoized edge verdicts inside the retired scope. Closure guarantees no
-  // live→retired edge exists, so testing the T0 projection is exact.
-  const std::unordered_set<TxName> rset(roots.begin(), roots.end());
-  auto retired_edge = [&](const SiblingEdge& e) {
-    return RetiredScopeEdge(*type_, rset, e);
-  };
-  conflict_edges_.EraseIf(retired_edge);
-  precedes_edges_.EraseIf(retired_edge);
 
   // Per-object frontier summaries and replay-prefix checkpointing. The full
   // retired set goes in: an old retired family's operations that stayed in

@@ -10,7 +10,6 @@
 
 #include "sg/conflict_frontier.h"
 #include "sg/conflicts.h"
-#include "sg/edge_set.h"
 #include "sg/fast_graph.h"
 #include "sg/front_end.h"
 #include "spec/serial_spec.h"
@@ -44,12 +43,13 @@ class ObjectIngestState {
 
   /// Inserts the newly visible operation (REQUEST_COMMIT of access `tx`
   /// returning `v` at trace position `pos`) and appends to `new_edges`
-  /// every sibling edge (lca, child-toward-earlier, child-toward-later)
-  /// induced by a conflict between the new operation and an already visible
-  /// one — already deduplicated within this object. Idempotent: a duplicate
-  /// of an already inserted operation changes nothing and emits nothing;
-  /// likewise an operation at a position the GC already folded into the
-  /// replay checkpoint (a redelivery of a pruned op) is dropped unseen.
+  /// every candidate sibling edge (lca, child-toward-earlier,
+  /// child-toward-later) induced by a conflict between the new operation
+  /// and an already visible one, repeats included: the certifier's graph
+  /// deduplicates. Idempotent: a duplicate of an already inserted operation
+  /// changes nothing and emits nothing; likewise an operation at a position
+  /// the GC already folded into the replay checkpoint (a redelivery of a
+  /// pruned op) is dropped unseen.
   void InsertVisibleOp(uint64_t pos, TxName tx, const Value& v,
                        std::vector<SiblingEdge>* new_edges);
 
@@ -111,9 +111,12 @@ struct IncrementalVerdict {
 ///     the certifier is its sink;
 ///   * conflict(β) edges appear when both endpoints' operations are visible
 ///     to T0, discovered per object;
-///   * acyclicity of the union is maintained by Pearce–Kelly insertion
-///     (IncrementalTopoGraph) with early cycle rejection — edges are
-///     monotone over prefixes, so a cyclic verdict is final;
+///   * one IncrementalTopoGraph owns edge identity: it deduplicates every
+///     conflict and precedes candidate, tags each pair with its relations
+///     (the edge counts and fingerprints read the tags), and maintains
+///     acyclicity of the union by Pearce–Kelly insertion with early cycle
+///     rejection — edges are monotone over prefixes, so a cyclic verdict is
+///     final;
 ///   * appropriate return values are maintained per object by incremental
 ///     serial-spec replay.
 ///
@@ -149,14 +152,19 @@ class IncrementalCertifier {
     return IncrementalVerdict{illegal_objects_ == 0, acyclic_};
   }
 
-  size_t conflict_edge_count() const { return conflict_edges_.size(); }
-  size_t precedes_edge_count() const { return precedes_edges_.size(); }
+  size_t conflict_edge_count() const {
+    return graph_.tagged_count(IncrementalTopoGraph::kConflictTag);
+  }
+  size_t precedes_edge_count() const {
+    return graph_.tagged_count(IncrementalTopoGraph::kPrecedesTag);
+  }
   size_t actions_ingested() const { return front_.position(); }
 
   /// Canonical fingerprint of the current conflict ∪ precedes edge sets
-  /// (see sg/fingerprint.h). Certifiers that agree on the edge sets agree
-  /// here, byte for byte. Under GC the sets hold live edges only, so
-  /// compare against an unpruned certifier via FingerprintLiveScope.
+  /// (see sg/fingerprint.h), refused edges included. Certifiers that agree
+  /// on the edge sets agree here, byte for byte. Under GC the sets hold
+  /// live edges only, so compare against an unpruned certifier via
+  /// FingerprintLiveScope.
   uint64_t graph_fingerprint() const;
 
   /// Fingerprint restricted to edges touching no family in `retired_roots`
@@ -201,12 +209,17 @@ class IncrementalCertifier {
   void OnVisibleOp(uint64_t pos, TxName tx, const Value& v);
   /// Sink: adds a precedes edge.
   void OnPrecedes(TxName parent, TxName from, TxName to);
-  void AddGraphEdge(TxName parent, TxName from, TxName to, bool is_conflict);
+  /// Offers from -> to under relation `tag`; a tag new to its pair counts,
+  /// traces and (when refused) rejects, once.
+  void AddGraphEdge(TxName parent, TxName from, TxName to, uint8_t tag);
+  /// Fingerprint of the tagged pairs for which `keep` holds.
+  template <typename Keep>
+  uint64_t FingerprintTagged(Keep&& keep) const;
   void NoteVerdict();
   ObjectIngestState& ObjectState(ObjectId x);
   /// Executes the retirement of `roots` (already sealed and
-  /// predecessor-closed): the front end's state, graph nodes, memoized
-  /// edges, and frontier summaries.
+  /// predecessor-closed): the front end's state, graph nodes (with the
+  /// tags of every incident edge), and frontier summaries.
   void RetireFamilies(const std::vector<TxName>& roots);
 
   const SystemType* type_;
@@ -214,8 +227,6 @@ class IncrementalCertifier {
   SgFrontEnd front_;
   std::vector<std::unique_ptr<ObjectIngestState>> objects_;
   size_t illegal_objects_ = 0;
-  SiblingEdgeSet conflict_edges_;
-  SiblingEdgeSet precedes_edges_;
   IncrementalTopoGraph graph_;
   bool acyclic_ = true;
   std::optional<uint64_t> first_rejection_pos_;

@@ -1,12 +1,14 @@
 // Prefix-consistency property test for the online certifier: for every
-// prefix of every generated trace, IncrementalCertifier's running verdict
-// (and edge counts) must equal a from-scratch CertifySeriallyCorrect on that
-// prefix — across both conflict modes and across correct and deliberately
-// broken schedulers (the latter exercise the rejection path).
+// prefix of every generated trace, IncrementalCertifier's running verdict,
+// edge counts and graph fingerprint must equal a from-scratch batch build of
+// that prefix — across both conflict modes and across correct and
+// deliberately broken schedulers (the latter exercise the rejection path).
 
 #include <gtest/gtest.h>
 
 #include "sg/certifier.h"
+#include "sg/conflicts.h"
+#include "sg/fingerprint.h"
 #include "sg/incremental_certifier.h"
 #include "sim/driver.h"
 
@@ -28,7 +30,9 @@ QuickRunResult SmallRun(uint64_t seed, Backend backend,
 }
 
 /// Ingests `beta` one action at a time and compares against the batch
-/// certifier at every prefix.
+/// certifier at every prefix: verdict, edge counts, and the fingerprint of
+/// the serial prefix's conflict(β) ∪ precedes(β), which a rejected prefix
+/// must match too (refused edges stay members of their relation).
 void CheckEveryPrefix(const SystemType& type, const Trace& beta,
                       ConflictMode mode) {
   IncrementalCertifier cert(type, mode);
@@ -47,6 +51,12 @@ void CheckEveryPrefix(const SystemType& type, const Trace& beta,
         << "conflict edges diverged at prefix " << i + 1;
     ASSERT_EQ(cert.precedes_edge_count(), batch.precedes_edge_count)
         << "precedes edges diverged at prefix " << i + 1;
+    const Trace serial = SerialPart(prefix);
+    ASSERT_EQ(cert.graph_fingerprint(),
+              FingerprintSerializationGraph(
+                  ConflictRelation(type, serial, mode),
+                  PrecedesRelation(type, serial)))
+        << "fingerprint diverged at prefix " << i + 1 << "/" << beta.size();
     // first_rejection_pos latches at the first not-OK prefix; it can be set
     // while the verdict is currently OK only if appropriateness flipped
     // back, which per-object replay allows (a late commit can repair a

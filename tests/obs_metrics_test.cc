@@ -242,9 +242,10 @@ TEST(ObsMetricsTest, BatchFastPathMetricsDoNotMoveEdgesOrFingerprint) {
       hits0 = m.frontier_hits->value();
       misses0 = m.frontier_misses->value();
       on_edges = ConflictRelation(*run.type, serial, ConflictMode::kReadWrite);
-      // Every final edge was emitted at least once; a first access to an
-      // object is always a frontier miss, later conflicting ones are hits.
-      EXPECT_GE(m.conflict_edges_emitted->value() - emitted0, on_edges.size());
+      // The counter counts the distinct edges the build returns; a first
+      // access to an object is always a frontier miss, later conflicting
+      // ones are hits.
+      EXPECT_EQ(m.conflict_edges_emitted->value() - emitted0, on_edges.size());
       if (!on_edges.empty()) {
         // An edge implies a conflicting pair, which implies both a probe
         // that found summaries (hit) and an earlier first-of-class probe
@@ -274,6 +275,58 @@ TEST(ObsMetricsTest, BatchFastPathMetricsDoNotMoveEdgesOrFingerprint) {
     EXPECT_EQ(off_fp, on_fp) << "metrics moved the batch fingerprint, seed "
                              << seed;
   }
+}
+
+// Appends a committed, reported top-level family: `root` and then each of
+// its accesses, run to completion one after another.
+void AppendSerialFamily(TxName root, const std::vector<TxName>& accesses,
+                        Trace* beta) {
+  beta->push_back(Action::RequestCreate(root));
+  beta->push_back(Action::Create(root));
+  for (TxName a : accesses) {
+    beta->push_back(Action::RequestCreate(a));
+    beta->push_back(Action::Create(a));
+    beta->push_back(Action::RequestCommit(a, Value::Ok()));
+    beta->push_back(Action::Commit(a));
+    beta->push_back(Action::ReportCommit(a, Value::Ok()));
+  }
+  beta->push_back(Action::RequestCommit(root, Value::Ok()));
+  beta->push_back(Action::Commit(root));
+  beta->push_back(Action::ReportCommit(root, Value::Ok()));
+}
+
+// ntsg_sg_conflict_edges_emitted_total says "distinct": two objects that
+// induce the same sibling edge count it once, in both the plain and the
+// labelled batch build.
+TEST(ObsMetricsTest, ConflictEdgesEmittedCountsDistinctEdges) {
+  SystemType type;
+  ObjectId x = type.AddObject(ObjectType::kReadWrite, "X", 0);
+  ObjectId y = type.AddObject(ObjectType::kReadWrite, "Y", 0);
+  TxName a = type.NewChild(kT0);
+  TxName b = type.NewChild(kT0);
+  const std::vector<TxName> a_ops = {
+      type.NewAccess(a, AccessSpec{x, OpCode::kWrite, 1}),
+      type.NewAccess(a, AccessSpec{y, OpCode::kWrite, 2})};
+  const std::vector<TxName> b_ops = {
+      type.NewAccess(b, AccessSpec{x, OpCode::kWrite, 3}),
+      type.NewAccess(b, AccessSpec{y, OpCode::kWrite, 4})};
+  Trace beta;
+  AppendSerialFamily(a, a_ops, &beta);
+  AppendSerialFamily(b, b_ops, &beta);
+
+  ScopedMetricsEnabled on(true);
+  const obs::Counter& emitted = *obs::GetSgBuildMetrics().conflict_edges_emitted;
+  uint64_t before = emitted.value();
+  const std::vector<SiblingEdge> edges =
+      ConflictRelation(type, beta, ConflictMode::kReadWrite);
+  ASSERT_EQ(edges, (std::vector<SiblingEdge>{SiblingEdge{kT0, a, b}}));
+  EXPECT_EQ(emitted.value() - before, edges.size());
+
+  before = emitted.value();
+  const std::vector<LabeledSiblingEdge> labeled =
+      LabeledConflictRelation(type, beta, ConflictMode::kReadWrite);
+  ASSERT_EQ(labeled.size(), 1u);
+  EXPECT_EQ(emitted.value() - before, labeled.size());
 }
 
 // Pins the quantile estimator on a known distribution: 100 samples uniform

@@ -3,13 +3,17 @@
 // edge, cycle verdicts always match a from-scratch rebuild, and removal
 // re-enables exactly the edges whose cycles it broke. The node-removal case
 // drives the GC's primitives (RemoveNode, InNeighbors, CompactOrders, slab
-// slot reuse) against a reference model.
+// slot reuse) against a reference model, and the tagged case drives the
+// certifier's edge-identity map (AddTaggedEdge over both relations) against
+// one.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -300,6 +304,191 @@ TEST(TopoRemovalTest, NodeRemovalChurnMatchesReference) {
     EXPECT_GT(compacted, 0u);
     EXPECT_GT(created, g.slab_count()) << "no slab slot was ever reused";
   }
+}
+
+using TagModel = std::map<std::pair<TxName, TxName>, uint8_t>;
+using TagResult = IncrementalTopoGraph::TagResult;
+
+// Every pair the graph reports through ForEachTagged, with its tags.
+TagModel TaggedPairs(const IncrementalTopoGraph& graph) {
+  TagModel pairs;
+  graph.ForEachTagged([&pairs](TxName from, TxName to, uint8_t tags) {
+    EXPECT_TRUE(pairs.emplace(std::make_pair(from, to), tags).second)
+        << "pair " << from << " -> " << to << " walked twice";
+  });
+  return pairs;
+}
+
+size_t CountTag(const TagModel& tags, uint8_t tag) {
+  size_t n = 0;
+  for (const auto& [pair, bits] : tags) n += (bits & tag) != 0 ? 1 : 0;
+  return n;
+}
+
+// The certifier's edge-identity map under a seeded churn: tagged inserts
+// over both relations (repeats, pairs in both relations, cycle refusals and
+// their re-offers), untagged AddEdge/RemoveEdge, RemoveNode, CompactOrders
+// and copies, against a reference model of (pair -> tags) plus the admitted
+// edge set. After every step:
+//   1. AddTaggedEdge's outcome is kKnown exactly for a repeated tag,
+//      kAdmitted for a new tag on an admitted pair or a safe new edge, and
+//      kRefused exactly when the reference says the edge closes a cycle;
+//   2. tagged_count and ForEachTagged match the reference tags, refused
+//      pairs included;
+//   3. HasEdge and edge_count cover admitted edges only, and every edge
+//      ascends in OrdOf;
+//   4. a refused pair is in neither InNeighbors nor any FindPath, and
+//      FindPath finds a path over admitted edges exactly when one exists;
+//   5. AddEdge and RemoveEdge keep their untagged contract (RemoveEdge
+//      forgets an admitted pair's tags and leaves a refused pair alone).
+// RemoveNode is only applied to nodes no refused pair touches: the
+// certifier's GC stands down at the first refusal, and the graph checks it.
+TEST(TopoRemovalTest, TaggedPairsMatchReference) {
+  constexpr uint8_t kC = IncrementalTopoGraph::kConflictTag;
+  constexpr uint8_t kP = IncrementalTopoGraph::kPrecedesTag;
+  size_t known = 0, refused = 0, refused_again = 0, both = 0, removed = 0,
+         copies = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    IncrementalTopoGraph g;
+    TagModel tags;    // pair -> relation tags, refused pairs included
+    EdgeSet edges;    // admitted pairs
+    std::map<TxName, std::set<TxName>> live;  // node -> its predecessors
+    const TxName kNodes = 9;
+    auto admit = [&](TxName from, TxName to) {
+      edges.insert({from, to});
+      live[from];
+      live[to].insert(from);
+    };
+    auto forget_pair = [&](TxName from, TxName to) {
+      edges.erase({from, to});
+      tags.erase({from, to});
+      live[to].erase(from);
+    };
+    auto touches_refused = [&](TxName t) {
+      for (const auto& [pair, bits] : tags) {
+        if (edges.count(pair) == 0 && (pair.first == t || pair.second == t)) {
+          return true;
+        }
+      }
+      return false;
+    };
+
+    for (int step = 0; step < 500; ++step) {
+      const uint64_t dice = rng.NextBelow(20);
+      TxName from = static_cast<TxName>(1 + rng.NextBelow(kNodes));
+      TxName to = static_cast<TxName>(1 + rng.NextBelow(kNodes));
+      if (dice < 12) {
+        if (from == to) continue;
+        const uint8_t tag = rng.NextBool(0.5) ? kC : kP;
+        const uint8_t before = tags.count({from, to}) ? tags[{from, to}] : 0;
+        const bool was_admitted = edges.count({from, to}) != 0;
+        TagResult expect;
+        if ((before & tag) != 0) {
+          expect = TagResult::kKnown;
+          ++known;
+        } else {
+          tags[{from, to}] = before | tag;
+          if (before != 0) ++both;
+          if (was_admitted) {
+            expect = TagResult::kAdmitted;
+          } else if (WouldCycle(edges, from, to)) {
+            expect = TagResult::kRefused;
+            ++refused;
+            if (before != 0) ++refused_again;
+          } else {
+            expect = TagResult::kAdmitted;
+            admit(from, to);
+          }
+        }
+        ASSERT_EQ(g.AddTaggedEdge(from, to, tag), expect)
+            << "seed " << seed << " step " << step << ": " << from << " -> "
+            << to << " tag " << int{tag};
+      } else if (dice < 14) {
+        const bool present = edges.count({from, to}) != 0;
+        const bool closes = !present && WouldCycle(edges, from, to);
+        ASSERT_EQ(g.AddEdge(from, to), !closes)
+            << "seed " << seed << " step " << step;
+        if (!closes && !present) admit(from, to);
+      } else if (dice < 16) {
+        if (!edges.empty() && rng.NextBool(0.7)) {
+          auto it = edges.begin();
+          std::advance(it, rng.NextBelow(edges.size()));
+          std::tie(from, to) = *it;
+        }
+        g.RemoveEdge(from, to);
+        if (edges.count({from, to}) != 0) forget_pair(from, to);
+      } else if (dice < 18) {
+        if (touches_refused(from)) continue;
+        g.RemoveNode(from);
+        if (live.erase(from) != 0) ++removed;
+        for (auto& [node, preds] : live) preds.erase(from);
+        for (auto it = tags.begin(); it != tags.end();) {
+          const auto [a, b] = it->first;
+          if (a == from || b == from) {
+            edges.erase(it->first);
+            it = tags.erase(it);
+          } else {
+            ++it;
+          }
+        }
+        for (auto it = edges.begin(); it != edges.end();) {
+          it = it->first == from || it->second == from ? edges.erase(it)
+                                                       : std::next(it);
+        }
+      } else if (dice < 19) {
+        g.CompactOrders();
+        ASSERT_EQ(g.next_ord(), g.node_count());
+      } else {
+        // Snapshots are copies; continue on the copy, which must carry the
+        // tags, counters and adjacency over exactly.
+        IncrementalTopoGraph copy(g);
+        g = IncrementalTopoGraph();
+        g = copy;
+        ++copies;
+      }
+
+      ASSERT_EQ(TaggedPairs(g), tags) << "seed " << seed << " step " << step;
+      ASSERT_EQ(g.tagged_count(kC), CountTag(tags, kC)) << "seed " << seed;
+      ASSERT_EQ(g.tagged_count(kP), CountTag(tags, kP)) << "seed " << seed;
+      ASSERT_EQ(g.edge_count(), edges.size()) << "seed " << seed;
+      ASSERT_EQ(g.node_count(), live.size()) << "seed " << seed;
+      for (TxName a = 1; a <= kNodes; ++a) {
+        for (TxName b = 1; b <= kNodes; ++b) {
+          ASSERT_EQ(g.HasEdge(a, b), edges.count({a, b}) != 0)
+              << "seed " << seed << " step " << step;
+        }
+        std::vector<TxName> in = g.InNeighbors(a);
+        std::sort(in.begin(), in.end());
+        auto it = live.find(a);
+        ASSERT_EQ(in, it == live.end()
+                          ? std::vector<TxName>{}
+                          : std::vector<TxName>(it->second.begin(),
+                                                it->second.end()))
+            << "seed " << seed << " step " << step << " node " << a;
+      }
+      for (const auto& [pair, bits] : tags) {
+        if (edges.count(pair) != 0) continue;
+        const auto [a, b] = pair;
+        // WouldCycle(edges, b, a) is "a reaches b over admitted edges".
+        const std::vector<TxName> path = g.FindPath(a, b);
+        ASSERT_EQ(path.empty(), !WouldCycle(edges, b, a))
+            << "seed " << seed << " step " << step;
+        for (size_t i = 0; i + 1 < path.size(); ++i) {
+          ASSERT_TRUE(edges.count({path[i], path[i + 1]}))
+              << "FindPath used a refused pair, seed " << seed;
+        }
+      }
+      ExpectOrderValid(g, edges);
+    }
+  }
+  // Every behavior the certifier relies on was exercised.
+  EXPECT_GT(known, 0u);
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(refused_again, 0u);
+  EXPECT_GT(both, 0u);
+  EXPECT_GT(removed, 0u);
+  EXPECT_GT(copies, 0u);
 }
 
 }  // namespace
