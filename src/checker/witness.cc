@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "serial/validator.h"
 #include "sg/fast_graph.h"
-#include "sg/graph.h"
 
 namespace ntsg {
 
@@ -175,9 +174,8 @@ WitnessResult BuildAndCheckWitness(
   return result;
 }
 
-WitnessResult FastCheckSeriallyCorrectForT0(const SystemType& type,
-                                            const Trace& beta,
-                                            ConflictMode mode) {
+WitnessResult CheckSeriallyCorrectForT0(const SystemType& type,
+                                        const Trace& beta, ConflictMode mode) {
   Trace serial = SerialPart(beta);
   std::optional<std::map<TxName, std::vector<TxName>>> orders =
       FastTopologicalOrders(type, serial, mode);
@@ -188,24 +186,6 @@ WitnessResult FastCheckSeriallyCorrectForT0(const SystemType& type,
     return result;
   }
   return BuildAndCheckWitness(type, serial, *orders);
-}
-
-WitnessResult CheckSeriallyCorrectForT0(const SystemType& type,
-                                        const Trace& beta, ConflictMode mode) {
-  Trace serial = SerialPart(beta);
-  SerializationGraph sg = SerializationGraph::Build(type, serial, mode);
-  if (auto cycle = sg.FindCycle()) {
-    WitnessResult result;
-    std::string names;
-    for (TxName t : *cycle) {
-      if (!names.empty()) names += " -> ";
-      names += type.NameOf(t);
-    }
-    result.status = Status::VerificationFailed(
-        "serialization graph cyclic, no witness order derivable: " + names);
-    return result;
-  }
-  return BuildAndCheckWitness(type, serial, sg.TopologicalOrders());
 }
 
 }  // namespace ntsg

@@ -42,17 +42,12 @@ WitnessResult BuildAndCheckWitness(
     const std::map<TxName, std::vector<TxName>>& orders);
 
 /// End-to-end exact check: derives sibling orders from a topological sort of
-/// SG(serial(β)) under `mode` and calls BuildAndCheckWitness. Returns a
-/// failure (rather than attempting other orders) when the graph is cyclic;
-/// see ExhaustiveSerialCheck for a complete search on small instances.
+/// SG(serial(β)) under `mode` and calls BuildAndCheckWitness. The orders
+/// come from the timeline-encoded graph (FastTopologicalOrders), so the
+/// Θ(n²) precedes relation is never materialized. Returns a failure (rather
+/// than attempting other orders) when the graph is cyclic; see
+/// ExhaustiveSerialCheck for a complete search on small instances.
 WitnessResult CheckSeriallyCorrectForT0(
-    const SystemType& type, const Trace& beta,
-    ConflictMode mode = ConflictMode::kCommutativity);
-
-/// As CheckSeriallyCorrectForT0, but derives the sibling orders from the
-/// timeline-encoded graph (FastTopologicalOrders) instead of materializing
-/// the Θ(n²) precedes relation — the same verdict at near-linear cost.
-WitnessResult FastCheckSeriallyCorrectForT0(
     const SystemType& type, const Trace& beta,
     ConflictMode mode = ConflictMode::kCommutativity);
 

@@ -31,7 +31,7 @@ std::vector<std::pair<size_t, size_t>> DirectlyAffects(const SystemType& type,
 ///   2. R_event(β) and affects(β) are consistent partial orders on the
 ///      events of visible(β, T0) — equivalently, their union is acyclic.
 /// `order` lists, per parent, its children in the proposed order (as
-/// produced by SerializationGraph::TopologicalOrders, possibly extended).
+/// produced by FastTopologicalOrders, possibly extended).
 /// Used by tests to validate the order the certifier/witness derives.
 Status CheckSuitability(
     const SystemType& type, const Trace& beta,

@@ -9,10 +9,39 @@ namespace ntsg {
 
 namespace {
 
+Status AppropriateReturnValues(const SystemType& type, const Trace& serial,
+                               ConflictMode mode) {
+  return mode == ConflictMode::kReadWrite
+             ? CheckAppropriateReturnValuesRw(type, serial)
+             : CheckAppropriateReturnValuesGeneral(type, serial);
+}
+
+// The status both entry points report: the value detail first, then the
+// cycle.
+Status VerdictStatus(const SystemType& type, const Status& values,
+                     const std::optional<std::vector<TxName>>& cycle) {
+  if (!values.ok()) {
+    return Status::VerificationFailed("return values not appropriate: " +
+                                      values.message());
+  }
+  if (cycle.has_value()) {
+    std::string names;
+    for (TxName t : *cycle) {
+      if (!names.empty()) names += " -> ";
+      names += type.NameOf(t);
+    }
+    return Status::VerificationFailed("serialization graph has cycle: " +
+                                      names);
+  }
+  return Status::Ok();
+}
+
 // The bounded-memory path: stream the behavior through the incremental
 // certifier with the watermark collector enabled instead of materializing
-// SG(serial(beta)) whole. Same verdict and witness; edge counts cover the
-// live scope only (retired families' memoized edges are reclaimed).
+// SG(serial(beta)) whole. Same verdict; the cycle is the online
+// first-rejection witness, and edge counts cover the live scope only
+// (retired families' memoized edges are reclaimed). The value detail is
+// recomputed from the serial part only when the values were rejected.
 CertifierReport CertifyStreamingWithGc(const SystemType& type,
                                        const Trace& beta, ConflictMode mode,
                                        size_t interval) {
@@ -28,21 +57,10 @@ CertifierReport CertifyStreamingWithGc(const SystemType& type,
   report.conflict_edge_count = cert.conflict_edge_count();
   report.precedes_edge_count = cert.precedes_edge_count();
   if (!v.acyclic) report.cycle = cert.cycle_witness();
-  // Status preference order matches the batch build: values first.
-  if (!v.appropriate) {
-    report.status =
-        Status::VerificationFailed("return values not appropriate");
-  } else if (!v.acyclic) {
-    std::string names;
-    for (TxName t : *report.cycle) {
-      if (!names.empty()) names += " -> ";
-      names += type.NameOf(t);
-    }
-    report.status =
-        Status::VerificationFailed("serialization graph has cycle: " + names);
-  } else {
-    report.status = Status::Ok();
-  }
+  Status values = v.appropriate
+                      ? Status::Ok()
+                      : AppropriateReturnValues(type, SerialPart(beta), mode);
+  report.status = VerdictStatus(type, values, report.cycle);
   return report;
 }
 
@@ -57,9 +75,7 @@ CertifierReport CertifySeriallyCorrect(const SystemType& type,
   CertifierReport report;
   Trace serial = SerialPart(beta);
 
-  Status values = mode == ConflictMode::kReadWrite
-                      ? CheckAppropriateReturnValuesRw(type, serial)
-                      : CheckAppropriateReturnValuesGeneral(type, serial);
+  Status values = AppropriateReturnValues(type, serial, mode);
   report.appropriate_return_values = values.ok();
 
   SerializationGraph sg = SerializationGraph::Build(type, serial, mode);
@@ -67,21 +83,7 @@ CertifierReport CertifySeriallyCorrect(const SystemType& type,
   report.precedes_edge_count = sg.precedes_edges().size();
   report.cycle = sg.FindCycle();
   report.graph_acyclic = !report.cycle.has_value();
-
-  if (!values.ok()) {
-    report.status = Status::VerificationFailed(
-        "return values not appropriate: " + values.message());
-  } else if (!report.graph_acyclic) {
-    std::string names;
-    for (TxName t : *report.cycle) {
-      if (!names.empty()) names += " -> ";
-      names += type.NameOf(t);
-    }
-    report.status =
-        Status::VerificationFailed("serialization graph has cycle: " + names);
-  } else {
-    report.status = Status::Ok();
-  }
+  report.status = VerdictStatus(type, values, report.cycle);
   return report;
 }
 

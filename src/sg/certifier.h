@@ -32,10 +32,12 @@ struct CertifyOptions {
   /// Nonzero switches from the batch build to the streaming certifier with
   /// commit-watermark GC running every `gc_watermark` actions, so peak
   /// memory tracks the live transaction population instead of the trace
-  /// length (DESIGN.md §10). The verdict, the rejection witness, and the
-  /// appropriate-return-values check are identical to the batch build
-  /// (gc_differential_test); the reported edge counts cover the live
-  /// (unretired) scope only.
+  /// length (DESIGN.md §10). The verdict bits and the status text of a
+  /// value rejection are identical to the batch build's (oracle_test). The
+  /// cycle witness is the online certifier's first-rejection cycle
+  /// (IncrementalCertifier::cycle_witness), which may be a different cycle
+  /// of the same graph than the batch build's FindCycle names. The reported
+  /// edge counts cover the live (unretired) scope only.
   size_t gc_watermark = 0;
 };
 

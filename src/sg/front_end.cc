@@ -108,14 +108,14 @@ bool SgFrontEnd::Admit(const Action& a, uint64_t pos) {
     if (book_.IsRetired(root)) {
       // Well-formed streams do still name retired families: INFORM_* and
       // CREATE deliveries are verdict-inert by definition, and an aborted
-      // root's orphaned descendants keep running (and eventually aborting)
-      // long after the T0-level REPORT_ABORT. Both classes are invisible at
-      // T0, so an unpruned certifier would ignore them too — drop them
-      // silently; the position is still consumed to keep the stream
-      // numbering aligned. Anything else naming a retired family means the
-      // stream re-used a name whose whole lifecycle, report included, sat
-      // below the watermark — count it as a late event and refuse to
-      // resurrect reclaimed state.
+      // transaction's orphans (its descendants, or an aborted access's own
+      // late response) keep running long after the abort is reported. Both
+      // classes are invisible at T0, so an unpruned certifier would ignore
+      // them too — drop them silently; the position is still consumed to
+      // keep the stream numbering aligned. Anything else naming a retired
+      // family means the stream re-used a name whose whole lifecycle,
+      // report included, sat below the watermark — count it as a late event
+      // and refuse to resurrect reclaimed state.
       if (a.kind == ActionKind::kCreate ||
           a.kind == ActionKind::kInformCommit ||
           a.kind == ActionKind::kInformAbort || book_.RetiredAborted(root)) {
@@ -131,9 +131,8 @@ bool SgFrontEnd::Admit(const Action& a, uint64_t pos) {
     // Resolution is keyed off the T0-level *report*, not the commit/abort
     // itself: the report is the last event that can touch T0's sibling
     // ordering (precedes(β) at the top level).
-    if (is_report && type_->depth(a.tx) == 1) {
-      book_.NoteResolved(a.tx, a.kind == ActionKind::kReportAbort);
-    }
+    if (is_report && type_->depth(a.tx) == 1) book_.NoteResolved(a.tx);
+    if (a.kind == ActionKind::kAbort) book_.NoteAbort(root);
   }
   if (obs::TraceEnabled()) {
     // The causal span is the paper's hightransaction(π): the transaction

@@ -67,14 +67,19 @@ class GcFamilyBook {
   }
 
   /// Records that `root`'s T0-level report (commit or abort) was ingested.
-  /// `aborted` is remembered past retirement: an aborted family's orphaned
-  /// descendants may keep producing (verdict-inert) events indefinitely,
-  /// and the late-event filter must not flag those as malformed.
-  void NoteResolved(TxName root, bool aborted) {
+  void NoteResolved(TxName root) {
     if (root == kT0) return;
-    Family& f = families_[root];
-    f.resolved = true;
-    f.aborted = aborted;
+    families_[root].resolved = true;
+  }
+
+  /// Records that a transaction in `root`'s family aborted (the root, a
+  /// subtransaction or an access). Remembered past retirement: its orphans
+  /// (descendants, or an aborted access's own late response) may keep
+  /// producing verdict-inert events indefinitely, and the late-event filter
+  /// must not flag those as malformed.
+  void NoteAbort(TxName root) {
+    if (root == kT0) return;
+    families_[root].aborted = true;
   }
 
   /// Records an activated operation at stream position `pos` under `root`.
@@ -86,8 +91,9 @@ class GcFamilyBook {
 
   bool IsRetired(TxName root) const { return retired_.count(root) != 0; }
 
-  /// True iff `root` was retired and its T0-level resolution was an abort
-  /// (so post-retirement events under it are orphan noise, not corruption).
+  /// True iff `root` was retired after a transaction in its family aborted
+  /// (so post-retirement events under it may be orphan noise, not
+  /// corruption).
   bool RetiredAborted(TxName root) const {
     return retired_aborted_.count(root) != 0;
   }

@@ -1,8 +1,6 @@
 #include "sg/graph.h"
 
 #include <algorithm>
-#include <functional>
-#include <queue>
 
 #include "common/logging.h"
 #include "sg/edge_set.h"
@@ -147,39 +145,6 @@ std::optional<std::vector<TxName>> SerializationGraph::FindCycle() const {
     }
   }
   return std::nullopt;
-}
-
-std::map<TxName, std::vector<TxName>> SerializationGraph::TopologicalOrders()
-    const {
-  NTSG_CHECK(IsAcyclic()) << "topological order requested for cyclic graph";
-  std::map<TxName, std::vector<TxName>> result;
-  for (const Component& comp : BuildComponents(conflict_edges_,
-                                               precedes_edges_)) {
-    // Kahn's algorithm; the min-heap frontier releases the smallest name
-    // first, matching the sorted-set frontier it replaces.
-    std::vector<size_t> indegree(comp.nodes.size(), 0);
-    for (const std::vector<TxName>& succ : comp.succs) {
-      for (TxName s : succ) indegree[comp.IndexOf(s)]++;
-    }
-    std::priority_queue<size_t, std::vector<size_t>, std::greater<size_t>>
-        frontier;
-    for (size_t n = 0; n < indegree.size(); ++n) {
-      if (indegree[n] == 0) frontier.push(n);
-    }
-    std::vector<TxName> order;
-    while (!frontier.empty()) {
-      size_t n = frontier.top();
-      frontier.pop();
-      order.push_back(comp.nodes[n]);
-      for (TxName s : comp.succs[n]) {
-        size_t si = comp.IndexOf(s);
-        if (--indegree[si] == 0) frontier.push(si);
-      }
-    }
-    NTSG_CHECK_EQ(order.size(), comp.nodes.size());
-    result[comp.parent] = std::move(order);
-  }
-  return result;
 }
 
 std::string SerializationGraph::ToDot(const SystemType& type) const {

@@ -1,7 +1,6 @@
 #ifndef NTSG_SG_GRAPH_H_
 #define NTSG_SG_GRAPH_H_
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,11 +40,6 @@ class SerializationGraph {
   std::optional<std::vector<TxName>> FindCycle() const;
 
   bool IsAcyclic() const { return !FindCycle().has_value(); }
-
-  /// For an acyclic graph: a topological order of the nodes of each
-  /// component, keyed by parent. Nodes are every endpoint mentioned by an
-  /// edge. Ties are broken by name for determinism.
-  std::map<TxName, std::vector<TxName>> TopologicalOrders() const;
 
   /// Graphviz rendering; conflict edges solid, precedes edges dashed.
   std::string ToDot(const SystemType& type) const;

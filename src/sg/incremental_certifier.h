@@ -105,7 +105,7 @@ struct IncrementalVerdict {
 /// Online form of Theorem 8/19: consumes a behavior action by action and
 /// maintains the batch certifier's verdict for the current prefix —
 /// prefix-consistent with CertifySeriallyCorrect by construction (and
-/// property-tested in tests/incremental_certifier_test.cc):
+/// property-tested in tests/oracle_test.cc):
 ///
 ///   * the SgFrontEnd decides visibility to T0 and the precedes(β) pairs;
 ///     the certifier is its sink;
@@ -133,7 +133,7 @@ class IncrementalCertifier {
   /// `gc.interval` ingested actions, bounding memory by the live-transaction
   /// footprint instead of the stream length (DESIGN.md §10). The verdict,
   /// rejection witness, and live-scope fingerprint are unchanged by GC —
-  /// the guarantee tests/gc_differential_test.cc enforces.
+  /// the guarantee tests/oracle_test.cc enforces.
   IncrementalCertifier(const SystemType& type, ConflictMode mode,
                        GcOptions gc = GcOptions{});
 

@@ -1,5 +1,6 @@
-// Equivalence tests for the timeline-encoded acyclicity check against the
-// full SerializationGraph construction.
+// Unit tests for the timeline-encoded acyclicity check and the
+// IncrementalTopoGraph. Timeline-versus-batch agreement on whole traces is
+// one of oracle_test's invariants.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "checker/witness.h"
 #include "common/rng.h"
 #include "sg/fast_graph.h"
 #include "sg/graph.h"
@@ -15,33 +15,6 @@
 
 namespace ntsg {
 namespace {
-
-TEST(FastGraphTest, AgreesWithFullGraphOnSimulatedRuns) {
-  for (Backend backend :
-       {Backend::kMoss, Backend::kUndo, Backend::kNoReadLockMoss,
-        Backend::kIgnoreReadersMoss, Backend::kDirtyReadMoss}) {
-    for (uint64_t seed = 1; seed <= 12; ++seed) {
-      QuickRunParams params;
-      params.config.backend = backend;
-      params.config.seed = seed;
-      params.config.spontaneous_abort_prob = 0.004;
-      params.num_objects = 2;
-      params.num_toplevel = 6;
-      params.gen.depth = 2;
-      params.gen.fanout = 3;
-      QuickRunResult run = QuickRun(params);
-      Trace serial = SerialPart(run.sim.trace);
-
-      SerializationGraph full = SerializationGraph::Build(
-          *run.type, serial, ConflictMode::kReadWrite);
-      FastSgReport fast =
-          FastSgAcyclicity(*run.type, serial, ConflictMode::kReadWrite);
-      EXPECT_EQ(full.IsAcyclic(), fast.acyclic)
-          << BackendName(backend) << " seed " << seed;
-      EXPECT_EQ(full.conflict_edges().size(), fast.conflict_edge_count);
-    }
-  }
-}
 
 TEST(FastGraphTest, DetectsHandBuiltCycle) {
   SystemType type;
@@ -156,8 +129,8 @@ TEST(FastGraphTest, TimelineCycleThroughConflictEdge) {
   // have happened before t2 existed, so instead build the inverse: a trace
   // where the conflict order contradicts precedes is impossible to realize
   // with committed accesses; emulate it by checking the pure-graph level.
-  // (The realizable contradiction cases are covered by the simulated-run
-  // equivalence test above.)
+  // (The realizable contradiction cases are covered by oracle_test, which
+  // compares the timeline verdict with the batch build on every trace.)
 }
 
 TEST(IncrementalTopoGraphTest, AcceptsDagRejectsCycle) {
@@ -254,30 +227,6 @@ TEST(IncrementalTopoGraphTest, RandomizedAgainstDfsCycleCheck) {
   for (const auto& [a, b] : accepted) {
     ASSERT_TRUE(g.OrdOf(a).has_value() && g.OrdOf(b).has_value());
     EXPECT_LT(*g.OrdOf(a), *g.OrdOf(b));
-  }
-}
-
-TEST(FastWitnessTest, AgreesWithSlowCheckerOnSimulatedRuns) {
-  for (Backend backend : {Backend::kMoss, Backend::kUndo,
-                          Backend::kNoReadLockMoss, Backend::kDirtyReadMoss}) {
-    for (uint64_t seed = 1; seed <= 10; ++seed) {
-      QuickRunParams params;
-      params.config.backend = backend;
-      params.config.seed = seed;
-      params.config.spontaneous_abort_prob = 0.004;
-      params.num_objects = 2;
-      params.num_toplevel = 6;
-      params.gen.depth = 2;
-      params.gen.fanout = 3;
-      QuickRunResult run = QuickRun(params);
-      WitnessResult slow =
-          CheckSeriallyCorrectForT0(*run.type, run.sim.trace);
-      WitnessResult fast =
-          FastCheckSeriallyCorrectForT0(*run.type, run.sim.trace);
-      EXPECT_EQ(slow.status.ok(), fast.status.ok())
-          << BackendName(backend) << " seed " << seed << ": slow="
-          << slow.status.ToString() << " fast=" << fast.status.ToString();
-    }
   }
 }
 

@@ -1,15 +1,9 @@
 // The fault-injection guarantee, enforced: fault plans are deterministic;
 // re-inserting an operation is idempotent; snapshot/restore resumes a
-// certifier without re-ingesting the prefix; for every seeded workload ×
-// fault plan, crashing the certifier and restoring it from its snapshots
-// (CertifyWithCrashes, the recovery `ntsg chaos` runs) lands on the
-// uninterrupted run's verdict, rejection point, graph fingerprint and GC
-// schedule; and plan-driven faults in the simulation driver and SGT
-// coordinator leave the produced behaviors serially correct.
-//
-// The crash suite covers 25 workload seeds × 4 fault-plan seeds × both
-// conflict modes = 200 (workload, plan) pairs, half of them with the
-// commit-watermark collector on.
+// certifier without re-ingesting the prefix; and plan-driven faults in the
+// simulation driver and SGT coordinator leave the produced behaviors
+// serially correct. Crash recovery under seeded plans (CertifyWithCrashes,
+// the recovery `ntsg chaos` runs) is one axis of oracle_test.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +13,6 @@
 #include "fault/fault_plan.h"
 #include "sg/certifier.h"
 #include "sg/incremental_certifier.h"
-#include "sim/chaos.h"
 #include "sim/driver.h"
 
 namespace ntsg {
@@ -181,83 +174,6 @@ TEST(SnapshotRestoreTest, SnapshotIsUnaffectedByLaterIngest) {
   EXPECT_EQ(snapshot.graph_fingerprint(), fp_at_snapshot);
   EXPECT_EQ(snapshot.conflict_edge_count(), edges_at_snapshot);
   EXPECT_EQ(snapshot.actions_ingested(), third);
-}
-
-// --- Certifier crash recovery -------------------------------------------------
-
-struct ModeCase {
-  ObjectType object_type;
-  ConflictMode mode;
-};
-
-// 25 workload seeds × 4 plan seeds × 2 conflict modes = 200 pairs. Every
-// third workload runs a deliberately broken backend, so the suite also
-// proves that *rejected* verdicts and their rejection points are stable
-// under crashes. Odd plan seeds run with GC on: a snapshot carries the
-// collector's state, so the restored run retires exactly the families the
-// uninterrupted one does.
-TEST(CrashRecoveryTest, VerdictAndFingerprintSurviveEveryPlan) {
-  const ModeCase kModes[] = {
-      {ObjectType::kReadWrite, ConflictMode::kReadWrite},
-      {ObjectType::kCounter, ConflictMode::kCommutativity},
-  };
-  size_t pairs = 0;
-  FaultStats total;
-  size_t rejected_workloads = 0;
-  size_t retired = 0;
-  for (const ModeCase& mc : kModes) {
-    for (uint64_t workload_seed = 1; workload_seed <= 25; ++workload_seed) {
-      bool broken = workload_seed % 3 == 0;
-      Backend backend =
-          mc.object_type == ObjectType::kReadWrite
-              ? (broken ? Backend::kDirtyReadMoss : Backend::kMoss)
-              : (broken ? Backend::kNoCommuteUndo : Backend::kUndo);
-      QuickRunResult run = MakeWorkload(workload_seed, mc.object_type,
-                                        backend);
-      const Trace& beta = run.sim.trace;
-
-      for (uint64_t plan_seed = 1; plan_seed <= 4; ++plan_seed) {
-        GcOptions gc;
-        gc.interval = plan_seed % 2 == 1 ? 8 + workload_seed : 0;
-        IncrementalCertifier clean(*run.type, mc.mode, gc);
-        clean.IngestTrace(beta);
-        if (plan_seed == 1 && !clean.verdict().ok()) ++rejected_workloads;
-
-        FaultPlanParams params;
-        params.crashes = 3;
-        params.snapshots = 2;
-        FaultPlan plan = FaultPlan::Generate(plan_seed * 1000 + workload_seed,
-                                             beta.size(), params);
-        FaultStats stats;
-        IncrementalCertifier chaotic = CertifyWithCrashes(
-            IncrementalCertifier(*run.type, mc.mode, gc), beta, plan, &stats);
-
-        ++pairs;
-        total.crashes += stats.crashes;
-        total.items_replayed += stats.items_replayed;
-        retired += chaotic.retired_roots().size();
-        const std::string label = "workload " + std::to_string(workload_seed) +
-                                  " plan " + std::to_string(plan_seed);
-        ASSERT_EQ(chaotic.verdict().appropriate, clean.verdict().appropriate)
-            << label;
-        ASSERT_EQ(chaotic.verdict().acyclic, clean.verdict().acyclic) << label;
-        ASSERT_EQ(chaotic.first_rejection_pos(), clean.first_rejection_pos())
-            << label;
-        ASSERT_EQ(chaotic.graph_fingerprint(), clean.graph_fingerprint())
-            << label;
-        ASSERT_EQ(chaotic.conflict_edge_count(), clean.conflict_edge_count());
-        ASSERT_EQ(chaotic.precedes_edge_count(), clean.precedes_edge_count());
-        ASSERT_EQ(chaotic.SortedRetiredRoots(), clean.SortedRetiredRoots())
-            << label;
-        ASSERT_EQ(chaotic.actions_ingested(), beta.size()) << label;
-      }
-    }
-  }
-  EXPECT_EQ(pairs, 200u);
-  EXPECT_EQ(total.crashes, 600u);      // every planned crash fired
-  EXPECT_GT(total.items_replayed, 0u);  // and recovery re-fed actions
-  EXPECT_GT(rejected_workloads, 0u);    // rejected verdicts were covered too
-  EXPECT_GT(retired, 0u);               // GC genuinely ran under crashes
 }
 
 // --- Driver-level faults -----------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "checker/witness.h"
+#include "sg/fast_graph.h"
 #include "sg/graph.h"
 #include "sim/driver.h"
 #include "tx/action.h"
@@ -75,18 +76,29 @@ TEST(ActionTest, OrderingDistinguishesAllFields) {
 }
 
 TEST(GraphTest, TopologicalOrdersAreDeterministic) {
+  // Two readers of X and a writer, all requested before any runs: the
+  // conflict edges a -> c and b -> c leave a and b tied.
   SystemType type;
-  TxName a = type.NewChild(kT0);
-  TxName b = type.NewChild(kT0);
-  TxName c = type.NewChild(kT0);
-  std::vector<SiblingEdge> conflicts = {{kT0, a, c}, {kT0, b, c}};
-  auto g1 = SerializationGraph::FromEdges(conflicts, {});
-  auto g2 = SerializationGraph::FromEdges(conflicts, {});
-  EXPECT_EQ(g1.TopologicalOrders(), g2.TopologicalOrders());
-  auto orders = g1.TopologicalOrders();
-  ASSERT_EQ(orders[kT0].size(), 3u);
-  EXPECT_EQ(orders[kT0][2], c);  // Sink last; a/b tie broken by name.
-  EXPECT_EQ(orders[kT0][0], a);
+  ObjectId x = type.AddObject(ObjectType::kReadWrite, "X", 0);
+  TxName a = type.NewAccess(kT0, AccessSpec{x, OpCode::kRead, 0});
+  TxName b = type.NewAccess(kT0, AccessSpec{x, OpCode::kRead, 0});
+  TxName c = type.NewAccess(kT0, AccessSpec{x, OpCode::kWrite, 1});
+  Trace beta;
+  for (TxName t : {a, b, c}) beta.push_back(Action::RequestCreate(t));
+  for (TxName t : {b, a, c}) {
+    Value v = t == c ? Value::Ok() : Value::Int(0);
+    beta.push_back(Action::Create(t));
+    beta.push_back(Action::RequestCommit(t, v));
+    beta.push_back(Action::Commit(t));
+    beta.push_back(Action::ReportCommit(t, v));
+  }
+  auto o1 = FastTopologicalOrders(type, beta, ConflictMode::kReadWrite);
+  auto o2 = FastTopologicalOrders(type, beta, ConflictMode::kReadWrite);
+  ASSERT_TRUE(o1.has_value());
+  EXPECT_EQ(o1, o2);
+  ASSERT_EQ((*o1)[kT0].size(), 3u);
+  EXPECT_EQ((*o1)[kT0][2], c);  // Sink last; a/b tie broken by name.
+  EXPECT_EQ((*o1)[kT0][0], a);
 }
 
 TEST(GraphTest, ParentsListsComponents) {

@@ -153,7 +153,7 @@ TEST_P(AdversarialRegimeSweep, DeepFailingRunsStaySeriallyCorrect) {
   SimResult result = sim.Run(config);
   ASSERT_TRUE(result.stats.completed);
   EXPECT_TRUE(CheckSimpleBehavior(type, result.trace).ok());
-  WitnessResult witness = FastCheckSeriallyCorrectForT0(type, result.trace);
+  WitnessResult witness = CheckSeriallyCorrectForT0(type, result.trace);
   EXPECT_TRUE(witness.status.ok())
       << BackendName(backend) << " seed " << seed << ": "
       << witness.status.ToString();

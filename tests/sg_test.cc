@@ -6,6 +6,7 @@
 
 #include "sg/appropriate.h"
 #include "sg/certifier.h"
+#include "sg/fast_graph.h"
 #include "sg/graph.h"
 
 namespace ntsg {
@@ -104,9 +105,9 @@ TEST_F(SgTest, SerialInterleavingIsCertified) {
   EXPECT_TRUE(report.status.ok()) << report.status.ToString();
   EXPECT_GT(report.conflict_edge_count, 0u);
 
-  SerializationGraph sg =
-      SerializationGraph::Build(type_, beta, ConflictMode::kReadWrite);
-  auto orders = sg.TopologicalOrders();
+  auto fast = FastTopologicalOrders(type_, beta, ConflictMode::kReadWrite);
+  ASSERT_TRUE(fast.has_value());
+  auto orders = *fast;
   ASSERT_TRUE(orders.count(kT0));
   ASSERT_EQ(orders[kT0].size(), 2u);
   EXPECT_EQ(orders[kT0][0], t1_);

@@ -197,7 +197,7 @@ TEST(SgtRegressionTest, CompactedConflictsStillBlockCycles) {
                                           : StallPolicy::kAbortTopLevel;
     SimResult result = sim.Run(config);
     ASSERT_TRUE(result.stats.completed) << "seed " << seed;
-    WitnessResult witness = FastCheckSeriallyCorrectForT0(type, result.trace);
+    WitnessResult witness = CheckSeriallyCorrectForT0(type, result.trace);
     EXPECT_TRUE(witness.status.ok())
         << "seed " << seed << ": " << witness.status.ToString();
   }

@@ -21,9 +21,9 @@
 // and, when [golden-dir] is given, each template's rendered verdict vector
 // is written there as iso_<template>.verdict.txt for byte-exact comparison.
 //
-// The corpus pins today's verdicts as goldens: corpus_test replays every
-// entry through the batch and incremental certifiers and fails on
-// any drift. Regenerate (and review the diff!) only when an intentional
+// The corpus pins today's verdicts as goldens: oracle_test replays every
+// entry through every certifier configuration and fails on any drift from
+// its manifest row, and corpus_test pins the renderings. Regenerate (and review the diff!) only when an intentional
 // semantic change moves a golden.
 
 #include <cstdio>

@@ -695,7 +695,7 @@ int Audit(const CliOptions& opt, const SystemType& type, const Trace& beta,
 
   WitnessResult witness =
       mvto_orders.empty()
-          ? FastCheckSeriallyCorrectForT0(type, beta, mode)
+          ? CheckSeriallyCorrectForT0(type, beta, mode)
           : BuildAndCheckWitness(type, beta, mvto_orders);
   std::cout << "exact witness:    " << witness.status.ToString()
             << (mvto_orders.empty() ? "" : " (timestamp order)") << "\n";
@@ -953,7 +953,7 @@ int CmdSweep(const CliOptions& opt) {
     steps += static_cast<double>(out.sim.stats.steps);
     WitnessResult witness =
         out.mvto_orders.empty()
-            ? FastCheckSeriallyCorrectForT0(*out.type, out.sim.trace)
+            ? CheckSeriallyCorrectForT0(*out.type, out.sim.trace)
             : BuildAndCheckWitness(*out.type, out.sim.trace, out.mvto_orders);
     if (witness.status.ok()) verified += 1;
   }
